@@ -4,6 +4,12 @@
 
 namespace adj::dist {
 
+namespace {
+thread_local bool on_pool_thread = false;
+}  // namespace
+
+bool OnPoolThread() { return on_pool_thread; }
+
 ThreadPool::ThreadPool(int num_threads) {
   const int n = std::max(1, num_threads);
   workers_.reserve(size_t(n));
@@ -22,6 +28,7 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::WorkerLoop() {
+  on_pool_thread = true;
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
     work_cv_.wait(lock, [this] {

@@ -74,6 +74,11 @@ class ThreadPool {
 /// the right mode for cost measurements (per-task timings undistorted).
 void RunTasks(int threads, const std::vector<std::function<void()>>& tasks);
 
+/// True on a ThreadPool worker (which includes RunTasks' threads).
+/// Code that could fan out further — the planner's sampling passes —
+/// stays serial there: the pool already spreads work over the cores.
+bool OnPoolThread();
+
 }  // namespace adj::dist
 
 #endif  // ADJ_DIST_THREAD_POOL_H_

@@ -1,12 +1,21 @@
 #include "sampling/sampler.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <functional>
+#include <thread>
 
 #include "common/rng.h"
 #include "common/timer.h"
+#include "dist/thread_pool.h"
 
 namespace adj::sampling {
+
+int SamplingThreads() {
+  if (dist::OnPoolThread()) return 1;
+  return int(std::max(1u, std::thread::hardware_concurrency()));
+}
 
 uint64_t ChernoffSampleCount(double p, double delta) {
   if (p <= 0 || delta <= 0 || delta >= 1) return 1;
@@ -75,35 +84,70 @@ StatusOr<SampleEstimate> SampleCardinality(const query::Query& q,
     return est;
   }
 
-  // Draw k values with replacement and run pinned Leapfrogs. The time
-  // budget is checked between samples: an exhausted budget truncates
-  // the pass and the mean is taken over the samples actually drawn —
-  // at least one always runs so a truncated estimate is still an
-  // estimate, never a division by zero.
+  // Draw k values with replacement, then run the pinned Leapfrogs on
+  // the workers. Each worker reuses one bound Leapfrog for every sample
+  // index it claims from a shared counter. The time budget is checked
+  // before each claimed sample: an exhausted budget truncates the pass
+  // and the mean is taken over the samples actually run — sample 0
+  // always runs, so a truncated estimate is still an estimate, never a
+  // division by zero.
   Rng rng(options.seed);
   const uint64_t k = std::max<uint64_t>(1, options.num_samples);
+  std::vector<Value> values(k);
+  for (Value& v : values) v = val_a[rng.Uniform(val_a.size())];
+  const int threads = int(std::min<uint64_t>(uint64_t(SamplingThreads()), k));
+  // Every worker's Leapfrog and stats are set up here, on the calling
+  // thread: the workers' runs then allocate nothing, so their threads
+  // never grow heaps of their own, and a bind error surfaces before any
+  // run.
+  std::vector<wcoj::Leapfrog> leapfrogs;
+  std::vector<wcoj::JoinStats> worker_stats(static_cast<size_t>(threads));
+  for (wcoj::JoinStats& s : worker_stats) {
+    StatusOr<wcoj::Leapfrog> leapfrog =
+        wcoj::Leapfrog::Bind(inputs, order, options.per_sample_limits);
+    if (!leapfrog.ok()) return leapfrog.status();
+    leapfrogs.push_back(std::move(*leapfrog));
+    s.tuples_at_level.assign(order.size(), 0);
+  }
+  std::vector<uint64_t> counts(k, 0);
+  std::vector<uint8_t> ran(k, 0);
+  std::vector<double> cpu_seconds(static_cast<size_t>(threads), 0.0);
+  std::atomic<uint64_t> next{0};
+  std::vector<std::function<void()>> tasks;
+  for (int w = 0; w < threads; ++w) {
+    tasks.push_back([&, w] {
+      const ThreadCpuTimer cpu;
+      for (uint64_t i = next.fetch_add(1); i < k; i = next.fetch_add(1)) {
+        if (i > 0 && timer.Seconds() >= options.max_total_seconds) break;
+        ran[i] = 1;
+        StatusOr<uint64_t> count = leapfrogs[size_t(w)].Run(
+            /*emit=*/nullptr, &worker_stats[size_t(w)], values[i]);
+        // A capped sample counts as drawn with a zero count (its
+        // partial work still lands in the per-level stats) — a
+        // documented bias source; with default (unlimited) limits this
+        // never fires.
+        if (count.ok()) counts[i] = *count;
+      }
+      cpu_seconds[size_t(w)] = cpu.Seconds();
+    });
+  }
+  dist::RunTasks(threads, tasks);
+
+  // Integer sums in index and worker order: the same totals whichever
+  // worker ran which sample.
   wcoj::JoinStats stats;
-  double sum = 0.0;
-  uint64_t drawn = 0;
+  for (const wcoj::JoinStats& s : worker_stats) stats.Merge(s);
+  uint64_t sum = 0, drawn = 0;
   std::vector<Value> sampled;
   sampled.reserve(k);
   for (uint64_t i = 0; i < k; ++i) {
-    if (i > 0 && timer.Seconds() >= options.max_total_seconds) break;
-    const Value v = val_a[rng.Uniform(val_a.size())];
-    sampled.push_back(v);
+    if (ran[i] == 0) continue;
+    sum += counts[i];
     ++drawn;
-    StatusOr<uint64_t> count =
-        wcoj::LeapfrogJoin(inputs, order, /*emit=*/nullptr, &stats,
-                           options.per_sample_limits, v);
-    if (!count.ok()) {
-      // A capped sample contributes its partial count — a documented
-      // bias source; with default (unlimited) limits this never fires.
-      continue;
-    }
-    sum += double(*count);
+    sampled.push_back(values[i]);
   }
   est.samples = drawn;
-  est.cardinality = double(est.val_a_size) * (sum / double(drawn));
+  est.cardinality = double(est.val_a_size) * (double(sum) / double(drawn));
 
   // Scaled per-level counts: X̄ per level times |val(A)|.
   est.est_tuples_at_level.resize(stats.tuples_at_level.size());
@@ -114,8 +158,12 @@ StatusOr<SampleEstimate> SampleCardinality(const query::Query& q,
   }
 
   est.seconds = timer.Seconds();
+  // Extensions per CPU second summed over the workers: one core's rate,
+  // undiluted when workers outnumber free cores and wait descheduled.
+  double cpu_total = 0.0;
+  for (const double s : cpu_seconds) cpu_total += s;
   est.beta_extensions_per_s =
-      stats.seconds > 0 ? double(stats.extensions) / stats.seconds : 0.0;
+      cpu_total > 0 ? double(stats.extensions) / cpu_total : 0.0;
 
   if (options.distributed) {
     // Sec. IV: before sampling, the database is reduced — shuffle the

@@ -31,6 +31,12 @@ struct SamplerOptions {
   double max_total_seconds = std::numeric_limits<double>::infinity();
 };
 
+/// Worker threads of a sampling pass started on this thread: the
+/// host's hardware threads, or 1 on a dist::ThreadPool worker (a serve
+/// worker, a RunBatch query), where concurrent planners already share
+/// the cores. It does not depend on the simulated cluster size.
+int SamplingThreads();
+
 /// Outcome of one sampling-based estimation run (Sec. IV).
 struct SampleEstimate {
   double cardinality = 0.0;  // estimated |T| = |val(A)| * mean(X)
@@ -38,7 +44,9 @@ struct SampleEstimate {
   uint64_t samples = 0;      // k
   double seconds = 0.0;      // measured sampling wall time
   /// Measured extension rate — the beta the optimizer reuses ("we set
-  /// beta_i by reusing statistics gathered during sampling").
+  /// beta_i by reusing statistics gathered during sampling"). Timed in
+  /// the workers' thread CPU time, so the rate stays one core's rate
+  /// whatever the worker count and however busy the host.
   double beta_extensions_per_s = 0.0;
   /// Scaled per-order-position intermediate counts: estimate of |T_i|
   /// under the order used for sampling.
@@ -51,6 +59,12 @@ struct SampleEstimate {
 /// val(A) for A = order[0] by intersecting the A-projections of every
 /// relation containing A, draw k values uniformly, run Leapfrog with A
 /// pinned to each value, and scale the mean count by |val(A)|.
+///
+/// The k values are drawn up front from options.seed, and the pinned
+/// runs are spread over SamplingThreads() workers. Counts are summed as
+/// integers, so an untruncated pass returns the same estimate for any
+/// worker count; only the timings and a budget-truncated sample set can
+/// differ.
 StatusOr<SampleEstimate> SampleCardinality(const query::Query& q,
                                            const storage::Catalog& db,
                                            const query::AttributeOrder& order,

@@ -55,21 +55,18 @@ struct Participant {
   int level;  // trie level of this attribute within the input
 };
 
-class Executor {
+}  // namespace
+
+class Leapfrog::Executor {
  public:
   Executor(const std::vector<JoinInput>& inputs,
-           const query::AttributeOrder& order, const EmitFn* emit,
-           JoinStats* stats, const JoinLimits& limits,
-           std::optional<Value> first_value, IntersectionCache* cache)
-      : inputs_(inputs),
-        order_(order),
-        emit_(emit),
-        stats_(stats),
-        limits_(limits),
-        first_value_(first_value),
-        cache_(cache) {}
+           const query::AttributeOrder& order, const JoinLimits& limits,
+           IntersectionCache* cache)
+      : inputs_(inputs), order_(order), limits_(limits), cache_(cache) {}
 
-  StatusOr<uint64_t> Run() {
+  /// Resolves each order position's participants, validates the inputs
+  /// against the order, and carves the arena every Run reuses.
+  Status Bind() {
     const int n = static_cast<int>(order_.size());
     participants_.assign(n, {});
     for (int r = 0; r < static_cast<int>(inputs_.size()); ++r) {
@@ -98,9 +95,6 @@ class Executor {
             "attribute covered by no input (cartesian product)");
       }
     }
-    if (stats_ != nullptr && stats_->tuples_at_level.size() < size_t(n)) {
-      stats_->tuples_at_level.resize(n, 0);
-    }
     indexes_.assign(inputs_.size(), {});
     for (size_t r = 0; r < inputs_.size(); ++r) {
       indexes_[r].assign(inputs_[r].attrs.size(), 0);
@@ -108,6 +102,17 @@ class Executor {
     binding_.assign(n, 0);
     tuples_local_.assign(n, 0);
     BuildArena(n);
+    return Status::OK();
+  }
+
+  StatusOr<uint64_t> Run(const EmitFn* emit, JoinStats* stats,
+                         std::optional<Value> first_value) {
+    emit_ = emit;
+    stats_ = stats;
+    first_value_ = first_value;
+    std::fill(tuples_local_.begin(), tuples_local_.end(), 0);
+    kernel_stats_ = {};
+    cache_hits_ = cache_misses_ = count_ = extensions_ = 0;
     timer_.Restart();
     Status st = Descend(0);
     FlushStats();
@@ -117,7 +122,7 @@ class Executor {
 
  private:
   /// Preallocated per-order-position kernel workspace, carved out of
-  /// the executor's flat arena at Run(): span/range views over the
+  /// the executor's flat arena at Bind(): span/range views over the
   /// current sibling ranges, the intersection output (values + a
   /// row-major position matrix) and the k-way reduction scratch.
   /// Buffers for distinct positions are disjoint, so the recursion
@@ -212,7 +217,11 @@ class Executor {
     vals_storage_.assign(total_vals, 0);
     u32_storage_.assign(total_u32, 0);
     decode_caches_.assign(total_bs, {});
-    decode_arena_storage_.assign(total_arena_vals, 0);
+    // Left uninitialized: a block is read only after its bit is set, so
+    // only the bitmap needs zeroing, and a large arena's untouched pages
+    // never become resident.
+    decode_arena_storage_ =
+        std::make_unique_for_overwrite<Value[]>(total_arena_vals);
     decode_bitmap_storage_.assign(total_arena_bits, 0);
     for (int i = 0; i < n; ++i) {
       Slot& s = slots_[i];
@@ -239,7 +248,7 @@ class Executor {
         for (const ArenaRef& a : arenas) {
           if (a.id != pay) continue;
           s.caches[j].arena_id = pay;
-          s.caches[j].arena = decode_arena_storage_.data() + a.vals_off;
+          s.caches[j].arena = decode_arena_storage_.get() + a.vals_off;
           s.caches[j].decoded = decode_bitmap_storage_.data() + a.bits_off;
           break;
         }
@@ -473,6 +482,9 @@ class Executor {
   /// the hot path carries no branches on an optional stats sink.
   void FlushStats() {
     if (stats_ == nullptr) return;
+    if (stats_->tuples_at_level.size() < tuples_local_.size()) {
+      stats_->tuples_at_level.resize(tuples_local_.size(), 0);
+    }
     stats_->seconds += timer_.Seconds();
     stats_->seeks += kernel_stats_.seeks;
     stats_->simd_intersections += kernel_stats_.simd_intersections;
@@ -488,11 +500,12 @@ class Executor {
 
   const std::vector<JoinInput>& inputs_;
   const query::AttributeOrder& order_;
-  const EmitFn* emit_;
-  JoinStats* stats_;
-  const JoinLimits& limits_;
-  std::optional<Value> first_value_;
+  const JoinLimits limits_;
   IntersectionCache* cache_;
+  // Per-run arguments.
+  const EmitFn* emit_ = nullptr;
+  JoinStats* stats_ = nullptr;
+  std::optional<Value> first_value_;
 
   std::vector<std::vector<Participant>> participants_;  // per order pos
   std::vector<std::vector<uint32_t>> indexes_;  // per input per level
@@ -506,7 +519,7 @@ class Executor {
   std::vector<Value> vals_storage_;
   std::vector<uint32_t> u32_storage_;
   std::vector<storage::blockcodec::DecodeCache> decode_caches_;
-  std::vector<Value> decode_arena_storage_;
+  std::unique_ptr<Value[]> decode_arena_storage_;
   std::vector<uint64_t> decode_bitmap_storage_;
   // Local counters, flushed once per Run.
   std::vector<uint64_t> tuples_local_;
@@ -518,7 +531,27 @@ class Executor {
   WallTimer timer_;
 };
 
-}  // namespace
+Leapfrog::Leapfrog(std::unique_ptr<Executor> exec) : exec_(std::move(exec)) {}
+Leapfrog::Leapfrog() = default;
+Leapfrog::Leapfrog(Leapfrog&&) noexcept = default;
+Leapfrog& Leapfrog::operator=(Leapfrog&&) noexcept = default;
+Leapfrog::~Leapfrog() = default;
+
+StatusOr<Leapfrog> Leapfrog::Bind(const std::vector<JoinInput>& inputs,
+                                  const query::AttributeOrder& order,
+                                  const JoinLimits& limits,
+                                  IntersectionCache* cache) {
+  if (inputs.empty()) return Status::InvalidArgument("no join inputs");
+  auto exec = std::make_unique<Executor>(inputs, order, limits, cache);
+  ADJ_RETURN_IF_ERROR(exec->Bind());
+  return Leapfrog(std::move(exec));
+}
+
+StatusOr<uint64_t> Leapfrog::Run(const EmitFn* emit, JoinStats* stats,
+                                 std::optional<Value> first_value) {
+  if (exec_ == nullptr) return Status::InvalidArgument("unbound Leapfrog");
+  return exec_->Run(emit, stats, first_value);
+}
 
 StatusOr<uint64_t> LeapfrogJoin(const std::vector<JoinInput>& inputs,
                                 const query::AttributeOrder& order,
@@ -526,9 +559,9 @@ StatusOr<uint64_t> LeapfrogJoin(const std::vector<JoinInput>& inputs,
                                 const JoinLimits& limits,
                                 std::optional<Value> first_value,
                                 IntersectionCache* cache) {
-  if (inputs.empty()) return Status::InvalidArgument("no join inputs");
-  Executor exec(inputs, order, emit, stats, limits, first_value, cache);
-  return exec.Run();
+  StatusOr<Leapfrog> leapfrog = Leapfrog::Bind(inputs, order, limits, cache);
+  if (!leapfrog.ok()) return leapfrog.status();
+  return leapfrog->Run(emit, stats, first_value);
 }
 
 StatusOr<PreparedRelation> PrepareRelation(

@@ -98,14 +98,46 @@ class IntersectionCache {
 /// (element i = value of order[i]).
 using EmitFn = std::function<void(std::span<const Value>)>;
 
-/// Leapfrog TrieJoin (Alg. 1): evaluates the join of `inputs` under
-/// `order`, emitting result tuples through `emit` (pass nullptr to
-/// count only). `first_value`, when set, pins the first attribute to
-/// one value — the sampler's "Leapfrog starting from A with the
-/// attribute fixed as a".
-///
-/// Returns the number of result tuples, or ResourceExhausted /
-/// DeadlineExceeded when a limit trips.
+/// Leapfrog TrieJoin (Alg. 1) bound to one set of inputs under one
+/// order. Bind validates the inputs against the order and sizes the
+/// per-position kernel arena and compressed-block decode caches once;
+/// every Run then reuses them, so k runs over the same tries pay that
+/// set-up once (the sampler's k pinned runs per worker). Decoded blocks
+/// stay cached across runs. Not thread-safe: one instance per thread.
+/// `inputs` and `order` are borrowed and must outlive the instance.
+class Leapfrog {
+ public:
+  static StatusOr<Leapfrog> Bind(const std::vector<JoinInput>& inputs,
+                                 const query::AttributeOrder& order,
+                                 const JoinLimits& limits = {},
+                                 IntersectionCache* cache = nullptr);
+
+  /// Unbound (what an error StatusOr holds); Run fails until a bound
+  /// instance is moved in.
+  Leapfrog();
+  Leapfrog(Leapfrog&&) noexcept;
+  Leapfrog& operator=(Leapfrog&&) noexcept;
+  ~Leapfrog();
+
+  /// One join: emits result tuples through `emit` (nullptr = count
+  /// only) and adds this run's counters to `stats` (may be null).
+  /// `first_value`, when set, pins the first attribute to one value —
+  /// the sampler's "Leapfrog starting from A with the attribute fixed
+  /// as a". The limits apply to each run on its own.
+  ///
+  /// Returns the number of result tuples, or ResourceExhausted /
+  /// DeadlineExceeded when a limit trips.
+  StatusOr<uint64_t> Run(const EmitFn* emit, JoinStats* stats,
+                         std::optional<Value> first_value = {});
+
+ private:
+  class Executor;
+  explicit Leapfrog(std::unique_ptr<Executor> exec);
+
+  std::unique_ptr<Executor> exec_;
+};
+
+/// One-shot Leapfrog: Bind then a single Run.
 StatusOr<uint64_t> LeapfrogJoin(const std::vector<JoinInput>& inputs,
                                 const query::AttributeOrder& order,
                                 const EmitFn* emit, JoinStats* stats,

@@ -6,6 +6,7 @@
 #include "core/engine.h"
 #include "dataset/builtin.h"
 #include "dataset/generators.h"
+#include "dist/thread_pool.h"
 #include "query/queries.h"
 #include "wcoj/naive_join.h"
 
@@ -166,6 +167,36 @@ TEST(EngineTest, DeterministicAcrossRuns) {
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a->output_count, b->output_count);
   EXPECT_EQ(a->comm.tuple_copies, b->comm.tuple_copies);
+}
+
+/// Sampling on the host's cores (planning off a pool) and serially
+/// (planning on a pool worker, as serve workers and RunBatch do) yields
+/// the same plan: the estimates are identical, and beta is timed in
+/// thread CPU time, so it does not fall with the worker count.
+TEST(EngineTest, PlanIndependentOfSamplingThreads) {
+  storage::Catalog db = SmallDb(49, 60, 500);
+  for (const int qi : {3, 5, 6}) {
+    auto q = query::MakeBenchmarkQuery(qi);
+    ASSERT_TRUE(q.ok());
+    Engine engine(&db);
+    auto parallel = engine.Plan(*q, FastOptions());
+    StatusOr<PlanResult> serial = Status::Internal("not run");
+    dist::ThreadPool pool(1);
+    pool.RunAll({[&] { serial = engine.Plan(*q, FastOptions()); }});
+    ASSERT_TRUE(parallel.ok()) << parallel.status();
+    ASSERT_TRUE(serial.ok()) << serial.status();
+    EXPECT_GT(parallel->beta_raw, 0.0);
+    EXPECT_GT(serial->beta_raw, 0.0);
+    const optimizer::QueryPlan& a = parallel->plan;
+    const optimizer::QueryPlan& b = serial->plan;
+    EXPECT_EQ(a.order, b.order) << "Q" << qi;
+    EXPECT_EQ(a.traversal, b.traversal) << "Q" << qi;
+    EXPECT_EQ(a.precompute, b.precompute) << "Q" << qi;
+    ASSERT_EQ(a.decomp.bags.size(), b.decomp.bags.size()) << "Q" << qi;
+    for (size_t v = 0; v < a.decomp.bags.size(); ++v) {
+      EXPECT_EQ(a.decomp.bags[v].atoms, b.decomp.bags[v].atoms) << "Q" << qi;
+    }
+  }
 }
 
 TEST(EngineTest, BuiltinDatasetSmokeRun) {

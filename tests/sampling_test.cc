@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <thread>
+#include <vector>
 
 #include "common/rng.h"
 #include "dataset/generators.h"
+#include "dist/thread_pool.h"
 #include "query/queries.h"
 #include "sampling/sampler.h"
 #include "sampling/sketch_estimator.h"
@@ -142,6 +147,72 @@ TEST(SamplerTest, BetaMeasured) {
   auto est = SampleCardinality(*q, db, {0, 1, 2}, opts);
   ASSERT_TRUE(est.ok());
   EXPECT_GT(est->beta_extensions_per_s, 0.0);
+}
+
+/// Runs `fn` on a dist::ThreadPool worker, where sampling is serial.
+void OnPoolWorker(const std::function<void()>& fn) {
+  dist::ThreadPool pool(1);
+  pool.RunAll({fn});
+}
+
+/// The k pinned runs spread over the host's cores give the serial
+/// estimate exactly: the same values are drawn and the counts are
+/// integer sums.
+TEST(ParallelSamplerTest, EstimateIndependentOfThreadCount) {
+  Rng rng(41);
+  storage::Catalog db;
+  db.Put("G", dataset::ZipfGraph(300, 4000, 0.8, rng));
+  auto q = Query::Parse("G(a,b) G(b,c) G(c,d) G(a,c)");
+  SamplerOptions opts;
+  opts.num_samples = 777;
+  opts.seed = 9;
+  StatusOr<SampleEstimate> serial = Status::Internal("not run");
+  OnPoolWorker([&] {
+    serial = SampleCardinality(*q, db, {0, 1, 2, 3}, opts);
+  });
+  ASSERT_TRUE(serial.ok());
+  ASSERT_GT(serial->cardinality, 0.0);
+  EXPECT_EQ(serial->samples, 777u);
+
+  auto est = SampleCardinality(*q, db, {0, 1, 2, 3}, opts);
+  ASSERT_TRUE(est.ok());
+  EXPECT_EQ(est->cardinality, serial->cardinality);
+  EXPECT_EQ(est->samples, serial->samples);
+  EXPECT_EQ(est->val_a_size, serial->val_a_size);
+  EXPECT_EQ(est->est_tuples_at_level, serial->est_tuples_at_level);
+  EXPECT_EQ(est->comm.bytes, serial->comm.bytes);
+  EXPECT_EQ(est->comm.tuple_copies, serial->comm.tuple_copies);
+  EXPECT_GT(est->beta_extensions_per_s, 0.0);
+  EXPECT_GT(serial->beta_extensions_per_s, 0.0);
+}
+
+TEST(ParallelSamplerTest, ExhaustedBudgetStillRunsOneSample) {
+  Rng rng(43);
+  storage::Catalog db;
+  db.Put("G", dataset::ErdosRenyi(100, 800, rng));
+  auto q = Query::Parse("G(a,b) G(b,c) G(a,c)");
+  SamplerOptions opts;
+  opts.num_samples = 500;
+  opts.max_total_seconds = 0.0;
+  auto est = SampleCardinality(*q, db, {0, 1, 2}, opts);
+  ASSERT_TRUE(est.ok());
+  EXPECT_EQ(est->samples, 1u);
+  EXPECT_TRUE(std::isfinite(est->cardinality));
+}
+
+TEST(ParallelSamplerTest, ThreadCountIsCoresOffPoolAndOneOnPool) {
+  const int cores = int(std::max(1u, std::thread::hardware_concurrency()));
+  EXPECT_EQ(SamplingThreads(), cores);
+  int on_pool = 0;
+  OnPoolWorker([&] { on_pool = SamplingThreads(); });
+  EXPECT_EQ(on_pool, 1);
+  // RunTasks' threads are pool workers too; its inline mode is not.
+  std::vector<int> seen(2, 0);
+  dist::RunTasks(2, {[&] { seen[0] = SamplingThreads(); },
+                     [&] { seen[1] = SamplingThreads(); }});
+  EXPECT_EQ(seen, std::vector<int>(2, 1));
+  dist::RunTasks(1, {[&] { seen[0] = SamplingThreads(); }});
+  EXPECT_EQ(seen[0], cores);
 }
 
 TEST(SketchTest, SingleAtomIsExact) {

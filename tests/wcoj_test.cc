@@ -349,6 +349,79 @@ TEST(CachedLeapfrogTest, WrapperReportsStats) {
   EXPECT_GT(result->cache_misses, 0u);
 }
 
+/// One bound Leapfrog, run once per pinned value and once unpinned,
+/// matches a fresh one-shot LeapfrogJoin for every run — counts and
+/// per-run stats alike — over raw and force-compressed tries (whose
+/// decoded blocks stay cached across the bound instance's runs).
+TEST(BoundLeapfrogTest, RepeatedRunsMatchOneShotJoins) {
+  storage::Catalog db = SmallGraphDb(61, 60, 500);
+  auto q = Query::Parse("G(a,b) G(b,c) G(c,d) G(a,c)");
+  ASSERT_TRUE(q.ok());
+  const query::AttributeOrder order = {0, 1, 2, 3};
+  const std::vector<int> rank = query::RankOf(order, q->num_attrs());
+  for (const bool compressed : {false, true}) {
+    std::vector<PreparedRelation> prepared;
+    for (const query::Atom& atom : q->atoms()) {
+      auto prep = PrepareRelation(**db.Get(atom.relation), atom.schema.attrs(),
+                                  rank);
+      ASSERT_TRUE(prep.ok());
+      if (compressed) {
+        const storage::Trie::CompressOptions force{.force = true};
+        prep->trie = storage::Trie::Compress(std::move(prep->trie), force);
+        ASSERT_TRUE(prep->trie.any_compressed());
+      }
+      prepared.push_back(std::move(prep.value()));
+    }
+    std::vector<JoinInput> inputs;
+    for (const PreparedRelation& p : prepared) {
+      inputs.push_back({&p.trie, p.attrs});
+    }
+    StatusOr<Leapfrog> bound = Leapfrog::Bind(inputs, order);
+    ASSERT_TRUE(bound.ok()) << bound.status();
+
+    uint64_t pinned_total = 0;
+    for (Value a = 0; a < 60; ++a) {
+      JoinStats reused, fresh;
+      auto got = bound->Run(nullptr, &reused, a);
+      auto want = LeapfrogJoin(inputs, order, nullptr, &fresh, {}, a);
+      ASSERT_TRUE(got.ok() && want.ok());
+      EXPECT_EQ(*got, *want) << "a=" << a << " compressed=" << compressed;
+      EXPECT_EQ(reused.tuples_at_level, fresh.tuples_at_level);
+      EXPECT_EQ(reused.extensions, fresh.extensions);
+      pinned_total += *got;
+    }
+    JoinStats all;
+    auto full = bound->Run(nullptr, &all);
+    ASSERT_TRUE(full.ok());
+    EXPECT_EQ(*full, pinned_total);
+    EXPECT_EQ(*full, *LeapfrogJoin(inputs, order, nullptr, nullptr));
+    EXPECT_GT(*full, 0u);
+  }
+}
+
+TEST(BoundLeapfrogTest, BindRejectsMisalignedInputsAndRunsNeedABind) {
+  storage::Catalog db = SmallGraphDb(62, 20, 60);
+  auto q = Query::Parse("G(a,b) G(b,c) G(a,c)");
+  ASSERT_TRUE(q.ok());
+  const std::vector<int> rank = query::RankOf({0, 1, 2}, 3);
+  std::vector<PreparedRelation> prepared;
+  for (const query::Atom& atom : q->atoms()) {
+    prepared.push_back(
+        *PrepareRelation(**db.Get(atom.relation), atom.schema.attrs(), rank));
+  }
+  std::vector<JoinInput> inputs;
+  for (const PreparedRelation& p : prepared) {
+    inputs.push_back({&p.trie, p.attrs});
+  }
+  // c before b contradicts the (b, c) trie's level order.
+  EXPECT_EQ(Leapfrog::Bind(inputs, {0, 2, 1}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(Leapfrog::Bind({}, {0, 1, 2}).status().code(),
+            StatusCode::kInvalidArgument);
+  Leapfrog unbound;
+  EXPECT_FALSE(unbound.Run(nullptr, nullptr).ok());
+}
+
 TEST(PrepareRelationTest, PermutesToRankOrder) {
   storage::Relation base(storage::Schema({0, 1}));
   base.Append({1, 9});
