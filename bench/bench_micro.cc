@@ -4,6 +4,7 @@
 // cost model of Sec. III-B is calibrated from.
 #include <benchmark/benchmark.h>
 
+#include "common/logging.h"
 #include "common/rng.h"
 #include "dataset/generators.h"
 #include "dist/cluster.h"
@@ -19,6 +20,15 @@ storage::Relation MakeGraph(int64_t edges) {
   Rng rng(uint64_t(edges) * 7919);
   return dataset::ZipfGraph(std::max<uint64_t>(64, uint64_t(edges) / 8),
                             uint64_t(edges), 0.8, rng);
+}
+
+/// A catalog holding MakeGraph(edges) as "G".
+storage::Catalog GraphCatalog(int64_t edges) {
+  storage::Catalog db;
+  const Status s =
+      db.Apply(storage::WriteBatch().Create("G", MakeGraph(edges)));
+  ADJ_CHECK(s.ok()) << s.ToString();
+  return db;
 }
 
 void BM_TrieBuild(benchmark::State& state) {
@@ -45,8 +55,7 @@ void BM_TrieSeek(benchmark::State& state) {
 BENCHMARK(BM_TrieSeek)->Arg(1 << 12)->Arg(1 << 17);
 
 void BM_LeapfrogTriangle(benchmark::State& state) {
-  storage::Catalog db;
-  db.Put("G", MakeGraph(state.range(0)));
+  storage::Catalog db = GraphCatalog(state.range(0));
   auto q = query::MakeBenchmarkQuery(1);
   query::AttributeOrder order = {0, 1, 2};
   const std::vector<int> rank = query::RankOf(order, 3);
@@ -71,8 +80,7 @@ void BM_LeapfrogTriangle(benchmark::State& state) {
 BENCHMARK(BM_LeapfrogTriangle)->Arg(1 << 13)->Arg(1 << 15);
 
 void BM_CachedLeapfrogTriangle(benchmark::State& state) {
-  storage::Catalog db;
-  db.Put("G", MakeGraph(state.range(0)));
+  storage::Catalog db = GraphCatalog(state.range(0));
   auto q = query::MakeBenchmarkQuery(1);
   query::AttributeOrder order = {0, 1, 2};
   const std::vector<int> rank = query::RankOf(order, 3);
@@ -93,8 +101,7 @@ void BM_CachedLeapfrogTriangle(benchmark::State& state) {
 BENCHMARK(BM_CachedLeapfrogTriangle)->Arg(1 << 13)->Arg(1 << 15);
 
 void BM_HCubeShuffle(benchmark::State& state) {
-  storage::Catalog db;
-  db.Put("G", MakeGraph(1 << 15));
+  storage::Catalog db = GraphCatalog(1 << 15);
   auto q = query::MakeBenchmarkQuery(1);
   query::AttributeOrder order = {0, 1, 2};
   const std::vector<int> rank = query::RankOf(order, 3);

@@ -56,8 +56,8 @@ int main(int argc, char** argv) {
   api::Database restarted;
   Status opened = restarted.Open(path);
   if (!opened.ok()) return Fail("open", opened);
-  std::printf("reopened in %.3fs (generation=%llu)\n", open_timer.Seconds(),
-              static_cast<unsigned long long>(restarted.generation()));
+  std::printf("reopened in %.3fs (%zu relations)\n", open_timer.Seconds(),
+              restarted.relation_names().size());
 
   // 4. The same prepared query, warm from byte one: the deterministic
   //    planner picks the same permutations, so every binding resolves

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "api/session.h"
+#include "common/logging.h"
 #include "dataset/builtin.h"
 #include "persist/snapshot.h"
 #include "storage/edge_list_io.h"
@@ -20,20 +21,21 @@ Status Database::LoadBuiltin(const std::string& dataset, double scale,
                              const std::string& as) {
   StatusOr<storage::Relation> rel = dataset::MakeBuiltin(dataset, scale);
   if (!rel.ok()) return rel.status();
-  catalog_->Put(as, std::move(rel.value()));
-  return Status::OK();
+  return catalog_->Apply(storage::WriteBatch().Create(as, std::move(*rel)));
 }
 
 Status Database::LoadEdgeList(const std::string& path,
                               const std::string& as) {
   StatusOr<storage::Relation> rel = storage::LoadEdgeList(path);
   if (!rel.ok()) return rel.status();
-  catalog_->Put(as, std::move(rel.value()));
-  return Status::OK();
+  return catalog_->Apply(storage::WriteBatch().Create(as, std::move(*rel)));
 }
 
 void Database::AddRelation(const std::string& name, storage::Relation rel) {
-  catalog_->Put(name, std::move(rel));
+  // A create of a non-null relation cannot fail validation.
+  const Status status =
+      catalog_->Apply(storage::WriteBatch().Create(name, std::move(rel)));
+  ADJ_CHECK(status.ok()) << status.ToString();
 }
 
 Status Database::Save(const std::string& path) const {

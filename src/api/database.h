@@ -28,9 +28,8 @@ class Session;
 /// or server is executing queries is a data race — quiesce first
 /// (serve::Server::Apply does this with a reader/writer lock; outside
 /// a server, simply don't run queries concurrently with writes). Every
-/// write advances the touched relations' relation_version()s (and the
-/// coarse generation()), which is how plan caches detect exactly which
-/// entries went stale.
+/// write advances the touched relations' relation_version()s, which is
+/// how plan caches detect exactly which entries went stale.
 class Database {
  public:
   Database() : catalog_(std::make_shared<storage::Catalog>()) {}
@@ -95,28 +94,23 @@ class Database {
   /// relations and warm indexes that *view the mapped bytes in place*
   /// — no parsing, no trie builds; a prepared query right after Open
   /// binds mmap-loaded indexes (see Result::index_mmap_loaded).
-  /// Registering bumps generation() exactly like any other reload, so
-  /// serve-layer plan caches invalidate correctly. Snapshot contents
-  /// are added to (and replace same-named entries of) the current
-  /// catalog. Corrupt or incompatible files fail with a Status error
-  /// and leave the catalog untouched.
+  /// Registering bumps every restored name's relation_version() like
+  /// any other reload, so serve-layer plan caches invalidate correctly.
+  /// Snapshot contents are added to (and replace same-named entries
+  /// of) the current catalog. Corrupt or incompatible files fail with a
+  /// Status error and leave the catalog untouched.
   Status Open(const std::string& path);
 
   const storage::Catalog& catalog() const { return *catalog_; }
   std::vector<std::string> relation_names() const;
   uint64_t total_tuples() const;
 
-  /// The catalog's coarse mutation counter — bumped by every load/add/
-  /// Apply above. Kept for whole-catalog observers; per-relation
-  /// staleness questions should use relation_version() instead, which
-  /// is what lets caches survive writes to relations they don't read.
-  uint64_t generation() const { return catalog_->generation(); }
-
   /// The version of `name`'s current binding (0 if absent): advances
   /// exactly when a write changes the relation's content or rebinds
-  /// the name. A prepared plan is fresh iff every relation it reads
-  /// still has the version it was prepared at (see
-  /// PreparedQuery::dependency_versions and serve::PreparedQueryCache).
+  /// the name. This is the catalog's only freshness signal: a prepared
+  /// plan is fresh iff every relation it reads still has the version
+  /// it was prepared at (see PreparedQuery::dependency_versions and
+  /// serve::PreparedQueryCache).
   uint64_t relation_version(const std::string& name) const {
     return catalog_->VersionOf(name);
   }

@@ -58,9 +58,9 @@ class PreparedQuery {
   /// certificate. The plan remains valid exactly as long as every
   /// listed name still has its listed version; a write to any other
   /// relation cannot stale it. serve::PreparedQueryCache validates
-  /// entries against this map (per-relation, not per-generation), and
-  /// Session::Reprepare uses the mismatched names to refresh only the
-  /// delta-proportional part of the context.
+  /// entries against this map, and Session::Reprepare uses the
+  /// mismatched names to refresh only the delta-proportional part of
+  /// the context.
   const std::map<std::string, uint64_t>& dependency_versions() const {
     return dep_versions_;
   }

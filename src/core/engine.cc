@@ -295,8 +295,10 @@ StatusOr<PlanResult> Engine::Plan(const query::Query& q,
   StatusOr<optimizer::QueryPlan> plan =
       options.use_exhaustive_planner ? optimizer::OptimizeExhaustivePlan(in)
                                      : optimizer::OptimizeAdaptivePlan(in);
-  if (!plan.ok()) return plan.status();
+  // Checked before the plan's own status: estimates turn infinite once
+  // the budget is spent, so a blown budget reports DeadlineExceeded.
   ADJ_RETURN_IF_ERROR(CheckBudget("plan search"));
+  if (!plan.ok()) return plan.status();
   result.plan = std::move(plan.value());
   result.explanation = optimizer::ExplainPlan(in, result.plan);
   result.optimize_s = timer.Seconds() + result.sampling_comm_s;
@@ -332,18 +334,21 @@ StatusOr<ExecutionContext> Engine::PrepareExecution(
   // Build the execution catalog: the base relations the rewritten
   // query still references are aliased — shared, never copied — from
   // the engine's catalog, so preparing (and every later run) is
-  // O(query) in base-relation cost.
+  // O(query) in base-relation cost. Bases and bags are queued into one
+  // batch, applied once, so the shared index cache is swept once.
   exec::RewrittenQuery rewritten =
       exec::RewriteWithBags(q, plan.decomp, plan.precompute);
+  storage::WriteBatch writes;
+  std::set<std::string> aliased;
   for (const query::Atom& atom : rewritten.query.atoms()) {
-    if (ctx.db.Contains(atom.relation) ||
-        atom.relation.rfind("__bag", 0) == 0) {
+    if (atom.relation.rfind("__bag", 0) == 0 ||
+        !aliased.insert(atom.relation).second) {
       continue;
     }
     StatusOr<std::shared_ptr<const storage::Relation>> base =
         db_->GetShared(atom.relation);
     if (!base.ok()) return base.status();
-    ADJ_RETURN_IF_ERROR(ctx.db.PutShared(atom.relation, std::move(*base)));
+    writes.Create(atom.relation, std::move(*base));
   }
   ctx.query = std::move(rewritten.query);
 
@@ -372,7 +377,7 @@ StatusOr<ExecutionContext> Engine::PrepareExecution(
             reuse->prev->db.GetShared(name);
         if (!prior.ok()) return prior.status();
         ctx.bag_bytes += (*prior)->SizeBytes();
-        ADJ_RETURN_IF_ERROR(ctx.db.PutShared(name, std::move(*prior)));
+        writes.Create(name, std::move(*prior));
         continue;
       }
     }
@@ -381,14 +386,16 @@ StatusOr<ExecutionContext> Engine::PrepareExecution(
         options.limits);
     if (!bag.ok()) {
       ctx.precompute_status = bag.status();
-      return ctx;
+      break;
     }
     ctx.precompute_s += bag->comm_s + bag->comp_s +
                         options.cluster.net.stage_overhead_s;
     ctx.precompute_comm.Add(bag->comm);
     ctx.bag_bytes += bag->rel.SizeBytes();
-    ctx.db.Put(name, std::move(bag->rel));
+    writes.Create(name, std::move(bag->rel));
   }
+  ADJ_RETURN_IF_ERROR(ctx.db.Apply(writes));
+  if (!ctx.precompute_status.ok()) return ctx;
 
   // Pin the bound-atom indexes the final join will request (bases and
   // bags alike): they are built now, shared through the cache, and the
@@ -430,41 +437,24 @@ StatusOr<ExecutionContext> Engine::PrepareExecution(
 StatusOr<exec::RunReport> Engine::RunPrepared(const ExecutionContext& ctx,
                                               const EngineOptions& options) {
   exec::RunReport report;
-  report.method = "ADJ";
-  report.plan_description = ctx.plan_description;
   if (!ctx.precompute_status.ok()) {
     report.status = ctx.precompute_status;
-    return report;
+  } else {
+    // Final one-round join of the rewritten query under the plan order.
+    dist::Cluster cluster(options.cluster);
+    exec::HCubeJParams params;
+    params.variant = options.hcube_variant;
+    params.limits = options.limits;
+    StatusOr<exec::HCubeJOutput> run =
+        exec::RunHCubeJ(ctx.query, ctx.db, ctx.order, params, &cluster);
+    if (run.ok()) {
+      report = std::move(run->report);
+    } else {
+      report.status = run.status();
+    }
   }
-
-  // Final one-round join of the rewritten query under the plan order.
-  dist::Cluster cluster(options.cluster);
-  exec::HCubeJParams params;
-  params.variant = options.hcube_variant;
-  params.limits = options.limits;
-  StatusOr<exec::HCubeJOutput> run =
-      exec::RunHCubeJ(ctx.query, ctx.db, ctx.order, params, &cluster);
-  if (!run.ok()) {
-    report.status = run.status();
-    return report;
-  }
-  report.status = run->report.status;
-  report.output_count = run->report.output_count;
-  report.comm = run->report.comm;
-  report.comm_s = run->report.comm_s;
-  report.comp_s = run->report.comp_s;
-  report.overhead_s += run->report.overhead_s;
-  report.tuples_at_level = run->report.tuples_at_level;
-  report.extensions = run->report.extensions;
-  report.simd_intersections = run->report.simd_intersections;
-  report.scalar_fallbacks = run->report.scalar_fallbacks;
-  report.compressed_bytes = run->report.compressed_bytes;
-  report.blocks_decoded = run->report.blocks_decoded;
-  report.index_builds = run->report.index_builds;
-  report.index_reused = run->report.index_reused;
-  report.index_mmap = run->report.index_mmap;
-  report.index_patched = run->report.index_patched;
-  report.delta_rows_merged = run->report.delta_rows_merged;
+  report.method = "ADJ";
+  report.plan_description = ctx.plan_description;
   report.rounds = 1;
   return report;
 }

@@ -94,7 +94,8 @@ struct ExecutionContext {
 ///
 /// Typical use:
 ///   storage::Catalog db;
-///   db.Put("G", dataset::MakeBuiltin("LJ").value());
+///   Status s = db.Apply(
+///       storage::WriteBatch().Create("G", *dataset::MakeBuiltin("LJ")));
 ///   query::Query q = *query::MakeBenchmarkQuery(5);
 ///   Engine engine(&db);
 ///   exec::RunReport r = *engine.Run(q, Strategy::kCoOpt, {});

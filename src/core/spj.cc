@@ -119,6 +119,10 @@ StatusOr<PushedDown> PushDownSelections(const storage::Catalog& db,
   // already built; filtered copies get their own entries, swept once
   // the prepared query holding them goes away.
   out.catalog.ShareIndexCacheWith(db);
+  // Every atom's entry is queued into one batch, applied once, so the
+  // shared index cache is swept once per push-down.
+  storage::WriteBatch writes;
+  std::set<std::string> aliased;
   std::vector<query::Atom> new_atoms;
   for (int i = 0; i < spj.join.num_atoms(); ++i) {
     const query::Atom& atom = spj.join.atom(i);
@@ -133,11 +137,10 @@ StatusOr<PushedDown> PushDownSelections(const storage::Catalog& db,
       if (pos >= 0) filters.emplace_back(pos, sel.value);
     }
     if (filters.empty()) {
-      if (!out.catalog.Contains(atom.relation)) {
+      if (aliased.insert(atom.relation).second) {
         // Untouched base relations are aliased, not copied — push-down
         // cost scales with the filtered atoms only.
-        ADJ_RETURN_IF_ERROR(
-            out.catalog.PutShared(atom.relation, std::move(*shared)));
+        writes.Create(atom.relation, std::move(*shared));
       }
       new_atoms.push_back(atom);
       continue;
@@ -154,9 +157,7 @@ StatusOr<PushedDown> PushDownSelections(const storage::Catalog& db,
           reuse->prev->GetShared(name);
       if (!prior.ok()) return prior.status();
       out.filtered += base->size() - (*prior)->size();
-      if (!out.catalog.Contains(name)) {
-        ADJ_RETURN_IF_ERROR(out.catalog.PutShared(name, std::move(*prior)));
-      }
+      writes.Create(name, std::move(*prior));
       query::Atom new_atom = atom;
       new_atom.relation = name;
       new_atoms.push_back(new_atom);
@@ -174,11 +175,12 @@ StatusOr<PushedDown> PushDownSelections(const storage::Catalog& db,
       if (keep) filtered.Append(base->Row(r));
     }
     out.filtered += base->size() - filtered.size();
-    out.catalog.Put(name, std::move(filtered));
+    writes.Create(name, std::move(filtered));
     query::Atom new_atom = atom;
     new_atom.relation = name;
     new_atoms.push_back(new_atom);
   }
+  ADJ_RETURN_IF_ERROR(out.catalog.Apply(writes));
   out.query = query::Query::Make(spj.join.attr_names(), new_atoms);
   return out;
 }

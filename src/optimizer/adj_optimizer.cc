@@ -230,6 +230,7 @@ StatusOr<QueryPlan> OptimizeAdaptivePlan(const PlanningInputs& in) {
     double best_cost = std::numeric_limits<double>::infinity();
     int best_v = -1;
     bool best_pre = false;
+    int first_connected = -1;
 
     for (int v = 0; v < k; ++v) {
       const uint32_t bit = 1u << v;
@@ -238,6 +239,7 @@ StatusOr<QueryPlan> OptimizeAdaptivePlan(const PlanningInputs& in) {
       // Line 6: the nodes still to be placed (which traverse *before*
       // v) must remain connected, otherwise no valid traversal exists.
       if (!BagsConnected(d, rest)) continue;
+      if (first_connected < 0) first_connected = v;
 
       AttrMask prev_attrs = 0;
       for (int u = 0; u < k; ++u) {
@@ -267,6 +269,11 @@ StatusOr<QueryPlan> OptimizeAdaptivePlan(const PlanningInputs& in) {
         }
       }
     }
+    // Every candidate cost is infinite (or NaN) once estimation has
+    // failed — e.g. the planning budget ran out mid-search. Any
+    // connected choice still yields a valid plan; the caller decides
+    // whether the budget overrun fails the request.
+    if (best_v < 0) best_v = first_connected;
     if (best_v < 0) {
       return Status::Internal("Alg.2 found no extensible node");
     }

@@ -224,17 +224,6 @@ class FileBuilder {
 
 StatusOr<WriteStats> SnapshotWriter::Write(const storage::Catalog& catalog,
                                            const std::string& path) {
-  return Write(catalog, path, {});
-}
-
-StatusOr<WriteStats> SnapshotWriter::Write(const storage::Catalog& catalog,
-                                           const std::string& path,
-                                           const WriteOptions& options) {
-  if (options.version < kMinVersion || options.version > kVersion) {
-    return Status::InvalidArgument("unsupported snapshot write version " +
-                                   std::to_string(options.version));
-  }
-  const bool v3 = options.version >= 3;
   WriteStats stats;
   const std::string tmp = path + ".tmp";
   FileBuilder builder(tmp);
@@ -246,7 +235,7 @@ StatusOr<WriteStats> SnapshotWriter::Write(const storage::Catalog& catalog,
   // Header.
   {
     std::vector<uint8_t> header(kMagic, kMagic + 8);
-    PutFixed32(options.version, &header);
+    PutFixed32(kVersion, &header);
     // Written in *native* byte order on purpose: a reader on the other
     // endianness sees the byte-swapped tag and refuses, because every
     // raw array segment is native-order too.
@@ -353,23 +342,12 @@ StatusOr<WriteStats> SnapshotWriter::Write(const storage::Catalog& catalog,
     storage::PutVarint(p.trie != nullptr ? 1 : 0, &manifest);
     if (p.trie != nullptr) {
       const Trie& t = *p.trie;
-      // The v2 layout stores raw level arrays (plus a mirror), which a
-      // block-compressed trie does not have — re-materialize a raw
-      // trie from the payload rows (deterministic: same CSR arrays).
-      Trie rebuilt;
-      const Trie* raw_trie = &t;
-      if (!v3 && t.any_compressed()) {
-        rebuilt = Trie::Build(*p.rows);
-        raw_trie = &rebuilt;
-      }
       for (int l = 0; l < t.arity(); ++l) {
         std::span<const uint32_t> kids = t.ChildBeginSpan(l);
         storage::PutVarint(t.LevelSize(l), &manifest);
-        if (v3) {
-          storage::PutVarint(t.level_compressed(l) ? 1 : 0, &manifest);
-        }
-        if (v3 && t.level_compressed(l)) {
-          // v3: the blockcodec arrays are the stored form — mapped in
+        storage::PutVarint(t.level_compressed(l) ? 1 : 0, &manifest);
+        if (t.level_compressed(l)) {
+          // The blockcodec arrays are the stored form — mapped in
           // place on open, no raw copy, no mirror.
           const storage::blockcodec::CompressedLevelView cv =
               t.CompressedView(l);
@@ -386,7 +364,7 @@ StatusOr<WriteStats> SnapshotWriter::Write(const storage::Catalog& catalog,
                              cv.bytes.size();
           ++stats.compressed_levels;
         } else {
-          std::span<const Value> vals = raw_trie->LevelSpan(l);
+          std::span<const Value> vals = t.LevelSpan(l);
           const uint32_t vseg =
               builder.AddSegment(SegmentKind::kTrieValues, BytesOf(vals));
           storage::PutVarint(vseg, &manifest);
@@ -400,14 +378,6 @@ StatusOr<WriteStats> SnapshotWriter::Write(const storage::Catalog& catalog,
         } else {
           storage::PutVarint(0, &manifest);
         }
-      }
-      if (!v3) {
-        const std::vector<uint8_t> tblock =
-            storage::EncodeTrieBlock(*raw_trie);
-        const uint32_t tseg =
-            builder.AddSegment(SegmentKind::kTrieBlock, tblock);
-        stats.compressed_bytes += tblock.size();
-        storage::PutVarint(uint64_t{tseg} + 1, &manifest);
       }
       ++stats.tries;
     }
@@ -463,13 +433,12 @@ StatusOr<SnapshotReader> SnapshotReader::Open(const std::string& path) {
         "snapshot '" + path +
         "' was written on a platform with different endianness");
   }
-  if (version < kMinVersion || version > kVersion) {
+  if (version != kVersion) {
     return Status::InvalidArgument(
         "snapshot '" + path + "' has format version " +
-        std::to_string(version) + "; this build reads versions " +
-        std::to_string(kMinVersion) + ".." + std::to_string(kVersion));
+        std::to_string(version) + "; this build reads version " +
+        std::to_string(kVersion));
   }
-  reader.version_ = version;
   const uint32_t value_size = GetFixed32(f.data() + 16);
   if (value_size != sizeof(Value)) {
     return Status::InvalidArgument("snapshot '" + path + "' stores " +
@@ -701,11 +670,9 @@ StatusOr<SnapshotReader> SnapshotReader::Open(const std::string& path) {
         StatusOr<uint64_t> count = get("trie level count");
         if (!count.ok()) return count.status();
         level.values_count = *count;
-        if (reader.version_ >= 3) {
-          StatusOr<uint64_t> flag = get("trie level compressed flag");
-          if (!flag.ok()) return flag.status();
-          level.compressed = *flag != 0;
-        }
+        StatusOr<uint64_t> flag = get("trie level compressed flag");
+        if (!flag.ok()) return flag.status();
+        level.compressed = *flag != 0;
         if (level.compressed) {
           StatusOr<uint64_t> mseg = get_seg("trie mins segment");
           if (!mseg.ok()) return mseg.status();
@@ -753,17 +720,6 @@ StatusOr<SnapshotReader> SnapshotReader::Open(const std::string& path) {
               "snapshot trie child arrays malformed");
         }
         p.levels.push_back(level);
-      }
-      if (reader.version_ < 3) {
-        StatusOr<uint64_t> tseg = get("trie block segment");
-        if (!tseg.ok()) return tseg.status();
-        if (*tseg != 0) {
-          if (*tseg - 1 >= num_segments) {
-            return Status::InvalidArgument(
-                "snapshot manifest: trie block segment out of range");
-          }
-          p.trie_block_seg = static_cast<int64_t>(*tseg - 1);
-        }
       }
     }
     StatusOr<uint64_t> num_bindings = get("binding count");
@@ -917,20 +873,8 @@ Status SnapshotReader::Verify() const {
       ADJ_RETURN_IF_ERROR(CompareValues(
           decoded->raw(), *raw, "payload " + std::to_string(i) + " rows"));
     }
-    if (p.trie_block_seg >= 0) {
-      StatusOr<std::span<const uint8_t>> comp = SegmentBytes(p.trie_block_seg);
-      if (!comp.ok()) return comp.status();
-      // v2: the trie mirror decodes back to the tuple set it indexes;
-      // the raw payload rows are exactly that set, so this
-      // cross-checks trie levels against rows in one comparison.
-      StatusOr<Relation> decoded = storage::DecodeTrieBlockToRelation(
-          std::vector<uint8_t>(comp->begin(), comp->end()), schema);
-      if (!decoded.ok()) return decoded.status();
-      ADJ_RETURN_IF_ERROR(CompareValues(
-          decoded->raw(), *raw, "payload " + std::to_string(i) + " trie"));
-    }
-    if (version_ >= 3 && p.has_trie) {
-      // v3 has no trie mirror: the stored levels ARE the execution
+    if (p.has_trie) {
+      // Tries have no mirror: the stored levels ARE the execution
       // format. FromMapped runs the full structural validation —
       // block skip tables, payload decodability, CSR shape, sorted
       // sibling runs — against the mapped segments.
@@ -1038,11 +982,10 @@ StatusOr<SnapshotReader::LoadStats> SnapshotReader::LoadInto(
   }
 
   // Phase 2 — commit. Restore entry states first: each Restore bumps
-  // the catalog generation and the name's version, so a snapshot open
-  // invalidates downstream plan caches exactly like any other reload.
-  // Then adopt index payloads, coldest first, so the cache's LRU
-  // order matches the saved one and a tight byte budget keeps the hot
-  // tail.
+  // the name's version, so a snapshot open invalidates downstream plan
+  // caches exactly like any other reload. Then adopt index payloads,
+  // coldest first, so the cache's LRU order matches the saved one and
+  // a tight byte budget keeps the hot tail.
   for (size_t i = 0; i < names_.size(); ++i) {
     stats.delta_batches += states[i].deltas.size();
     ADJ_RETURN_IF_ERROR(

@@ -21,25 +21,21 @@ namespace adj::persist {
 ///
 ///   header | segment* | manifest segment | TOC segment | footer
 ///
-/// v2+ records each catalog name's full delta-aware entry state — the
-/// immutable base relation, the ordered append/tombstone delta chain
-/// (rows inline in the manifest; chains are bounded by the compaction
-/// threshold), the effective relation, and the per-relation version —
-/// so Save/Open round-trips a *written-to* catalog: a restored entry
-/// keeps its mmap-backed base and re-applies only O(delta) heap rows.
-/// v1 recorded one relation per name (the then-current content),
-/// which folded any pending chain on save.
+/// The manifest records each catalog name's full delta-aware entry
+/// state — the immutable base relation, the ordered append/tombstone
+/// delta chain (rows inline in the manifest; chains are bounded by the
+/// compaction threshold), the effective relation, and the per-relation
+/// version — so Save/Open round-trips a *written-to* catalog: a
+/// restored entry keeps its mmap-backed base and re-applies only
+/// O(delta) heap rows.
 ///
-/// Trie storage is where v2 and v3 differ. v2 writes every trie level
-/// twice: the raw value array (mmap-able) plus a delta+vbyte *mirror*
-/// used only for deep verification — and cannot represent a
-/// block-compressed level at all. v3 writes each level exactly once,
-/// in its execution form: raw levels as the raw array, compressed
-/// levels as their three blockcodec arrays (per-block minima, byte
-/// offsets, packed payload) that `Trie::FromMapped` views in place —
-/// a warm restart serves compressed tries with zero re-encode, and
-/// the trie mirror segments are gone. Rows-layer payloads keep their
-/// raw + mirror pair in both versions.
+/// Each trie level is written exactly once, in its execution form:
+/// raw levels as the raw array, compressed levels as their three
+/// blockcodec arrays (per-block minima, byte offsets, packed payload)
+/// that `Trie::FromMapped` views in place — a warm restart serves
+/// compressed tries with zero re-encode. Relation and rows-layer
+/// payload arrays carry a compressed mirror segment that deep
+/// verification decodes and compares against the raw array.
 ///
 /// All raw array segments use the exact little-endian layout
 /// `Relation::AliasSpan` and `Trie::FromMapped` can view in place,
@@ -49,25 +45,22 @@ namespace adj::persist {
 /// be mapped (and later paged) on demand.
 ///
 /// Versioning policy: `kVersion` bumps on any layout change; the
-/// reader accepts v2 and v3 (the writer emits v3 by default, v2 on
-/// request via WriteOptions), rejects anything else, and rejects
-/// snapshots written on a platform with different endianness or Value
-/// width.
+/// reader accepts `kVersion` only and rejects anything else, as well
+/// as snapshots written on a platform with different endianness or
+/// Value width.
 
 inline constexpr char kMagic[8] = {'A', 'D', 'J', 'S', 'N', 'A', 'P', '1'};
 inline constexpr char kFooterMagic[8] = {'A', 'D', 'J', 'S', 'E', 'O', 'F',
                                          '1'};
 inline constexpr uint32_t kVersion = 3;
-/// Oldest version the reader still accepts (and the writer still
-/// emits, for size comparisons against the dual-encoded layout).
-inline constexpr uint32_t kMinVersion = 2;
 inline constexpr uint32_t kEndianTag = 0x01020304;
 inline constexpr uint64_t kHeaderSize = 32;
 inline constexpr uint64_t kFooterSize = 40;
 inline constexpr uint64_t kSegmentAlign = 64;
 
 /// Segment kinds recorded in the TOC (informative; the manifest is
-/// what binds segments to structures).
+/// what binds segments to structures). Numbers are part of the file
+/// format; 7 belonged to a retired trie mirror and stays unused.
 enum class SegmentKind : uint8_t {
   kManifest = 0,
   kRelationRows = 1,   // raw rows of a catalog relation
@@ -76,8 +69,7 @@ enum class SegmentKind : uint8_t {
   kTrieChild = 4,      // raw CSR child-offset array of one trie level
   kRelationDict = 5,   // compressed mirror: dictionary-encoded relation
   kPayloadBlock = 6,   // compressed mirror: delta+vbyte sorted rows
-  kTrieBlock = 7,      // v2 compressed mirror: delta+vbyte trie levels
-  // v3 block-compressed trie level (the execution format, mapped in
+  // Block-compressed trie level (the execution format, mapped in
   // place by Trie::FromMapped — see storage/block_codec.h).
   kTrieLevelMins = 8,    // per-block first values (skip table)
   kTrieLevelStarts = 9,  // per-block payload byte offsets (skip table)
@@ -107,26 +99,15 @@ struct WriteStats {
   uint64_t bindings = 0;   // labeled bind/rel entries across payloads
   uint64_t file_bytes = 0;
   uint64_t raw_bytes = 0;         // mmap-able array segments
-  uint64_t compressed_bytes = 0;  // mirror segments (v2 dual encoding)
-  uint64_t compressed_levels = 0;  // v3: trie levels stored block-compressed
+  uint64_t compressed_bytes = 0;   // compressed mirror segments
+  uint64_t compressed_levels = 0;  // trie levels stored block-compressed
 };
 
 /// Serializes a catalog — relations, name bindings, and every resident
 /// permuted-index payload of its IndexCache — into one snapshot file.
 class SnapshotWriter {
  public:
-  /// `version` selects the file format: kVersion (v3, single trie
-  /// encoding) or kMinVersion (v2, raw levels + trie mirror — kept so
-  /// benches can measure what the dual encoding cost; compressed
-  /// tries are re-materialized raw to fit it).
-  struct WriteOptions {
-    uint32_t version = kVersion;
-  };
-
   /// Writes atomically (temp file + rename). Overwrites `path`.
-  static StatusOr<WriteStats> Write(const storage::Catalog& catalog,
-                                    const std::string& path,
-                                    const WriteOptions& options);
   static StatusOr<WriteStats> Write(const storage::Catalog& catalog,
                                     const std::string& path);
 };
@@ -146,9 +127,6 @@ class SnapshotReader {
 
   const std::vector<SegmentInfo>& segments() const { return segments_; }
   const std::shared_ptr<const MappedFile>& file() const { return file_; }
-
-  /// Format version of the opened file (kMinVersion..kVersion).
-  uint32_t version() const { return version_; }
 
   /// Recomputes and compares every segment checksum (including the
   /// TOC's own, already checked at Open).
@@ -172,9 +150,9 @@ class SnapshotReader {
 
   /// Restores the snapshot into `catalog`: Catalog::Restore every
   /// name's saved entry state — base, pending delta chain, effective,
-  /// version (this bumps the catalog generation and the name's
-  /// version, like any reload) — then adopts index payloads, hottest
-  /// last, into the catalog's IndexCache under its byte budget.
+  /// version (this bumps the name's version, like any reload) — then
+  /// adopts index payloads, hottest last, into the catalog's
+  /// IndexCache under its byte budget.
   /// Relations and tries view the mapped file; the MappedFile handle
   /// is kept alive by them. Delta-chain rows are small (bounded by the
   /// compaction threshold) and live on the heap.
@@ -189,7 +167,7 @@ class SnapshotReader {
   };
   struct TrieLevelRef {
     uint64_t values_count = 0;
-    bool compressed = false;  // v3: level stored in blockcodec form
+    bool compressed = false;  // level stored in blockcodec form
     uint32_t values_seg = 0;  // raw levels only
     int64_t mins_seg = -1;    // compressed levels only
     int64_t starts_seg = -1;
@@ -204,7 +182,6 @@ class SnapshotReader {
     int64_t block_seg = -1;
     bool has_trie = false;
     std::vector<TrieLevelRef> levels;
-    int64_t trie_block_seg = -1;
     std::vector<storage::IndexCache::Binding> bindings;
   };
 
@@ -235,7 +212,6 @@ class SnapshotReader {
   };
 
   std::shared_ptr<const MappedFile> file_;
-  uint32_t version_ = kVersion;
   std::vector<SegmentInfo> segments_;
   std::vector<PhysRel> relations_;
   std::vector<NameEntry> names_;

@@ -20,8 +20,8 @@
 /// lanes), executed by a dist::ThreadPool, and answered from a bounded
 /// LRU cache of prepared plans keyed by normalized query text — the
 /// first request for a query pays planning, repeats run the cached
-/// ExecutionContext at O(query) cost until a catalog reload bumps the
-/// generation counter and invalidates the entry.
+/// ExecutionContext at O(query) cost until a write bumps the version
+/// of a relation the plan reads and invalidates the entry.
 #include "serve/admission_queue.h"
 #include "serve/prepared_query_cache.h"
 #include "serve/server.h"

@@ -118,7 +118,6 @@ Status Catalog::Apply(const WriteBatch& batch) {
     ++it;  // flush erases the pending slot
     flush(name);
   }
-  ++generation_;
   index_cache_->Sweep();
   return Status::OK();
 }
@@ -191,25 +190,6 @@ void Catalog::ApplyDelta(const std::string& name,
     e.base = e.effective;
     e.deltas.clear();
   }
-}
-
-void Catalog::Put(const std::string& name, Relation rel) {
-  WriteBatch batch;
-  batch.Create(name, std::move(rel));
-  (void)Apply(batch);  // a one-op create cannot fail validation
-}
-
-Status Catalog::PutShared(const std::string& name,
-                          std::shared_ptr<const Relation> rel) {
-  WriteBatch batch;
-  batch.Create(name, std::move(rel));
-  return Apply(batch);
-}
-
-Status Catalog::Alias(const std::string& alias, const std::string& name) {
-  WriteBatch batch;
-  batch.AliasRelation(alias, name);
-  return Apply(batch);
 }
 
 bool Catalog::Contains(const std::string& name) const {
@@ -290,7 +270,6 @@ Status Catalog::Restore(const std::string& name, EntryState state) {
   e.effective = std::move(state.effective);
   e.version = version;
   e.canonical = !e.deltas.empty();
-  ++generation_;
   index_cache_->Sweep();
   return Status::OK();
 }

@@ -30,29 +30,25 @@ namespace adj::storage {
 /// effective relation becomes the new base and the deltas are dropped.
 ///
 /// Ownership model: entries hold shared_ptr<const Relation>, so a name
-/// can own its relation outright (Put/Create) or borrow one another
-/// catalog — or another name in this catalog — already holds
-/// (PutShared / Alias). Borrowed entries share physical storage with
-/// their source: Get returns the same pointer for every alias, no
-/// tuple data is copied, and the relation stays alive as long as any
-/// catalog references it, even after the source catalog is destroyed.
-/// Writes rebind only the written name: aliases of the old relation
-/// version keep reading it, exactly as with Put.
+/// can own its relation outright or borrow one another catalog — or
+/// another name in this catalog — already holds (WriteBatch::Create
+/// with a shared relation, WriteBatch::AliasRelation). Borrowed entries
+/// share physical storage with their source: Get returns the same
+/// pointer for every alias, no tuple data is copied, and the relation
+/// stays alive as long as any catalog references it, even after the
+/// source catalog is destroyed. Writes rebind only the written name:
+/// aliases of the old relation version keep reading it.
 ///
-/// Mutation surface: WriteBatch + Apply() is the write API — ordered
-/// insert/delete/create/alias ops validated up front and applied
-/// atomically (a rejected batch leaves the catalog untouched). The
-/// historical Put / PutShared / Alias methods are deprecated thin
-/// wrappers over one-op batches.
+/// Mutation surface: WriteBatch + Apply() is the only write API —
+/// ordered insert/delete/create/alias ops validated up front and
+/// applied atomically (a rejected batch leaves the catalog untouched).
 ///
 /// Staleness tracking is *per relation*: every write to a name bumps
 /// VersionOf(name), so caches invalidate only entries whose bound
 /// relations actually changed (serve::PreparedQueryCache validates a
-/// prepared query's recorded name→version dependencies). The global
-/// generation() counter — bumped once per successful Apply — survives
-/// as a coarse any-write signal. Neither counter is atomic: like the
-/// rest of the catalog, mutation must be quiesced with respect to
-/// readers (docs/ARCHITECTURE.md, "Ownership rules";
+/// prepared query's recorded name→version dependencies). Versions are
+/// not atomic: like the rest of the catalog, mutation must be quiesced
+/// with respect to readers (docs/ARCHITECTURE.md, "Ownership rules";
 /// serve::Server::Apply does this with a reader/writer lock).
 class Catalog {
  public:
@@ -70,24 +66,8 @@ class Catalog {
   /// error with the catalog untouched. On success each written name
   /// gains one version; tuple ops coalesce into one DeltaBatch per
   /// name, linked into the index cache for merge-on-read patching,
-  /// and generation() advances once.
+  /// and the index cache is swept once.
   Status Apply(const WriteBatch& batch);
-
-  /// DEPRECATED — wrapper for Apply of a one-op Create batch.
-  /// Registers `rel` under `name`, replacing any previous binding.
-  void Put(const std::string& name, Relation rel);
-
-  /// DEPRECATED — wrapper for Apply of a one-op Create batch.
-  /// Registers an already-shared relation under `name`, replacing any
-  /// previous binding. No tuple data is copied. Null `rel` is
-  /// rejected.
-  Status PutShared(const std::string& name,
-                   std::shared_ptr<const Relation> rel);
-
-  /// DEPRECATED — wrapper for Apply of a one-op AliasRelation batch.
-  /// Binds `alias` to the relation version currently bound to `name`
-  /// in this catalog. NotFound if `name` has no entry.
-  Status Alias(const std::string& alias, const std::string& name);
 
   bool Contains(const std::string& name) const;
 
@@ -98,14 +78,15 @@ class Catalog {
   StatusOr<const Relation*> Get(const std::string& name) const;
 
   /// Shared handle to the effective relation — the way to alias a
-  /// relation into another catalog (PutShared) without copying it.
+  /// relation into another catalog (WriteBatch::Create) without
+  /// copying it.
   StatusOr<std::shared_ptr<const Relation>> GetShared(
       const std::string& name) const;
 
   std::vector<std::string> Names() const;
 
   /// Totals over *distinct physical* effective relations: a relation
-  /// registered under several names (Alias/PutShared) is counted once.
+  /// registered under several names (aliases) is counted once.
   uint64_t TotalTuples() const;
   uint64_t TotalBytes() const;
 
@@ -115,12 +96,6 @@ class Catalog {
   /// v — indexes, plans, prepared contexts — is exactly as fresh as
   /// (VersionOf(name) == v), independent of writes to other names.
   uint64_t VersionOf(const std::string& name) const;
-
-  /// Monotone counter of successful Apply calls (each deprecated
-  /// wrapper is a one-op Apply): equal generations guarantee every
-  /// name still resolves to the same relation version it did before.
-  /// Coarser than VersionOf — kept for whole-catalog consumers.
-  uint64_t generation() const { return generation_; }
 
   /// Accumulated delta rows at which a written entry folds its chain
   /// into a new base (frees the old base and the batches; derived
@@ -144,7 +119,7 @@ class Catalog {
   /// Installs a fully-formed entry (snapshot restore): `state.base` /
   /// `state.effective` must be non-null; the name's version becomes
   /// max(current, state.version) + 1 so restored-over entries still
-  /// read as written. Bumps generation() like any write.
+  /// read as written. Sweeps the index cache like any write.
   Status Restore(const std::string& name, EntryState state);
 
   /// The shared index layer riding alongside this catalog: every bind
@@ -180,7 +155,6 @@ class Catalog {
   void ApplyDelta(const std::string& name, std::shared_ptr<DeltaBatch> delta);
 
   std::map<std::string, Entry> relations_;
-  uint64_t generation_ = 0;
   uint64_t delta_compact_threshold_ = 4096;
   std::shared_ptr<IndexCache> index_cache_ = std::make_shared<IndexCache>();
 };

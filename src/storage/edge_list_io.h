@@ -15,7 +15,7 @@ namespace adj::storage {
 /// This is how a user plugs the real WB/AS/WT/LJ/EN/OK graphs into the
 /// library instead of the synthetic stand-ins:
 ///   auto g = storage::LoadEdgeList("com-lj.ungraph.txt");
-///   db.Put("G", std::move(g.value()));
+///   Status s = db.Apply(storage::WriteBatch().Create("G", std::move(*g)));
 StatusOr<Relation> LoadEdgeList(const std::string& path);
 
 /// Parses edge-list text from a string (used by tests and for

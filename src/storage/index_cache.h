@@ -65,8 +65,8 @@ struct IndexBuildStats {
 /// *stale* — it only becomes garbage once its source is unreachable.
 ///
 /// Lifetime / invalidation: every entry carries a `pin`, a shared
-/// handle to its source. Sweep() — called by Catalog on every
-/// generation() bump — drops entries whose pin the cache alone still
+/// handle to its source. Sweep() — called by Catalog after every
+/// Apply and Restore — drops entries whose pin the cache alone still
 /// holds: replacing a relation evicts its indexes (and, transitively,
 /// shard indexes derived from them) as soon as the last consumer lets
 /// go, while indexes of untouched relations survive pointer-identical.
@@ -228,7 +228,7 @@ class IndexCache {
                  const std::shared_ptr<const Relation>& next,
                  std::shared_ptr<const DeltaBatch> delta);
 
-  /// Garbage collection, run on every catalog generation bump: drops
+  /// Garbage collection, run after every catalog write: drops
   /// entries (iterating to a fixpoint, so derived entries chain) whose
   /// pin is held by nothing outside this cache.
   void Sweep();

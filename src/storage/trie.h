@@ -56,7 +56,7 @@ class Trie {
   /// values+1 otherwise. The value array arrives either raw (`values`)
   /// or block-compressed (`compressed` set: block_mins / block_starts
   /// / block_bytes + num_values, `values` empty) — the latter is how
-  /// snapshot v3 levels load with zero re-encode.
+  /// snapshot levels load with zero re-encode.
   struct MappedLevel {
     std::span<const Value> values;
     std::span<const uint32_t> child_begin;

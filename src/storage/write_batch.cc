@@ -140,42 +140,48 @@ DeltaBatch ComposeDelta(const DeltaBatch& first, const DeltaBatch& then) {
   return net;
 }
 
-void WriteBatch::Insert(std::string relation, std::vector<Value> tuple) {
+WriteBatch& WriteBatch::Insert(std::string relation,
+                               std::vector<Value> tuple) {
   Op op;
   op.kind = Op::kInsert;
   op.name = std::move(relation);
   op.tuple = std::move(tuple);
   ops_.push_back(std::move(op));
+  return *this;
 }
 
-void WriteBatch::Delete(std::string relation, std::vector<Value> tuple) {
+WriteBatch& WriteBatch::Delete(std::string relation,
+                               std::vector<Value> tuple) {
   Op op;
   op.kind = Op::kDelete;
   op.name = std::move(relation);
   op.tuple = std::move(tuple);
   ops_.push_back(std::move(op));
+  return *this;
 }
 
-void WriteBatch::Create(std::string name, Relation rel) {
-  Create(std::move(name),
-         std::make_shared<const Relation>(std::move(rel)));
+WriteBatch& WriteBatch::Create(std::string name, Relation rel) {
+  return Create(std::move(name),
+                std::make_shared<const Relation>(std::move(rel)));
 }
 
-void WriteBatch::Create(std::string name,
-                        std::shared_ptr<const Relation> rel) {
+WriteBatch& WriteBatch::Create(std::string name,
+                               std::shared_ptr<const Relation> rel) {
   Op op;
   op.kind = Op::kCreate;
   op.name = std::move(name);
   op.rel = std::move(rel);
   ops_.push_back(std::move(op));
+  return *this;
 }
 
-void WriteBatch::AliasRelation(std::string alias, std::string target) {
+WriteBatch& WriteBatch::AliasRelation(std::string alias, std::string target) {
   Op op;
   op.kind = Op::kAlias;
   op.name = std::move(alias);
   op.target = std::move(target);
   ops_.push_back(std::move(op));
+  return *this;
 }
 
 std::vector<std::string> WriteBatch::TouchedNames() const {

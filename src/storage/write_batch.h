@@ -62,9 +62,9 @@ size_t RowLowerBound(std::span<const Value> rows, int arity, const Value* t,
 DeltaBatch ComposeDelta(const DeltaBatch& first, const DeltaBatch& then);
 
 /// An ordered group of catalog mutations applied atomically by
-/// Catalog::Apply / api::Database::Apply — the write surface that
-/// replaced the ad-hoc Put / PutShared / Alias trio (those survive as
-/// thin wrappers over one-op batches).
+/// Catalog::Apply / api::Database::Apply — the only write surface.
+/// Every queueing method returns the batch, so a small write stays one
+/// statement: `catalog.Apply(WriteBatch().Create("G", std::move(g)))`.
 ///
 /// Ops execute in the order they were queued; tuple ops against one
 /// relation coalesce into a single DeltaBatch per Apply (an insert
@@ -78,33 +78,33 @@ class WriteBatch {
   /// Queues one tuple for insertion into `relation`. Inserting a tuple
   /// the relation already holds is a no-op under set semantics (but
   /// still marks the relation written).
-  void Insert(std::string relation, std::vector<Value> tuple);
-  void Insert(const std::string& relation,
-              std::initializer_list<Value> tuple) {
-    Insert(relation, std::vector<Value>(tuple));
+  WriteBatch& Insert(std::string relation, std::vector<Value> tuple);
+  WriteBatch& Insert(const std::string& relation,
+                     std::initializer_list<Value> tuple) {
+    return Insert(relation, std::vector<Value>(tuple));
   }
 
   /// Queues a tombstone: removes the tuple from `relation` if present
   /// (all copies, set semantics); a tombstone of an absent tuple is a
   /// no-op.
-  void Delete(std::string relation, std::vector<Value> tuple);
-  void Delete(const std::string& relation,
-              std::initializer_list<Value> tuple) {
-    Delete(relation, std::vector<Value>(tuple));
+  WriteBatch& Delete(std::string relation, std::vector<Value> tuple);
+  WriteBatch& Delete(const std::string& relation,
+                     std::initializer_list<Value> tuple) {
+    return Delete(relation, std::vector<Value>(tuple));
   }
 
   /// Queues a create-or-replace of `name` with an owned relation: the
   /// new entry starts a fresh base with an empty delta chain.
-  void Create(std::string name, Relation rel);
+  WriteBatch& Create(std::string name, Relation rel);
 
   /// Create-or-replace with an already-shared relation (no tuple data
   /// copied). A null relation fails the batch's validation at Apply.
-  void Create(std::string name, std::shared_ptr<const Relation> rel);
+  WriteBatch& Create(std::string name, std::shared_ptr<const Relation> rel);
 
   /// Queues a rebind of `alias` to the relation version `target`
   /// resolves to at this point in the batch. Apply fails (NotFound,
   /// nothing applied) if `target` resolves to nothing.
-  void AliasRelation(std::string alias, std::string target);
+  WriteBatch& AliasRelation(std::string alias, std::string target);
 
   bool empty() const { return ops_.empty(); }
   size_t size() const { return ops_.size(); }

@@ -428,9 +428,11 @@ TEST_P(CompressedStrategyTest, AllStrategiesMatchRawTrieCounts) {
 
   storage::Catalog raw_db;
   raw_db.index_cache().set_compress_tries(false);
-  raw_db.Put("G", Relation(g));
+  ASSERT_TRUE(
+      raw_db.Apply(storage::WriteBatch().Create("G", Relation(g))).ok());
   storage::Catalog comp_db;
-  comp_db.Put("G", Relation(g));
+  ASSERT_TRUE(
+      comp_db.Apply(storage::WriteBatch().Create("G", Relation(g))).ok());
 
   auto naive = wcoj::NaiveJoin(q, raw_db, 50'000'000);
   ASSERT_TRUE(naive.ok()) << naive.status();

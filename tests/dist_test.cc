@@ -88,7 +88,8 @@ TEST_P(HCubeCorrectnessTest, UnionOfServersEqualsSequential) {
   ASSERT_TRUE(q.ok());
   Rng rng(uint64_t(query_index * 100 + num_servers));
   storage::Catalog db;
-  db.Put("G", dataset::ErdosRenyi(30, 150, rng));
+  ASSERT_TRUE(db.Apply(storage::WriteBatch().Create(
+      "G", dataset::ErdosRenyi(30, 150, rng))).ok());
 
   // Sequential oracle.
   auto naive = wcoj::NaiveJoin(*q, db);
@@ -151,7 +152,8 @@ TEST(HCubeTest, AccountingInvariants) {
   storage::Catalog db;
   // Enough tuples that per-record overhead dominates per-block
   // overhead (the regime the paper's Fig. 9 lives in).
-  db.Put("G", dataset::ErdosRenyi(2000, 40000, rng));
+  ASSERT_TRUE(db.Apply(storage::WriteBatch().Create(
+      "G", dataset::ErdosRenyi(2000, 40000, rng))).ok());
   auto q = query::MakeBenchmarkQuery(1);
   query::AttributeOrder order = {0, 1, 2};
   const std::vector<int> rank = query::RankOf(order, 3);

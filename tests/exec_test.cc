@@ -14,11 +14,14 @@
 namespace adj::exec {
 namespace {
 
+using storage::WriteBatch;
+
 storage::Catalog SmallDb(uint64_t seed, uint64_t nodes = 30,
                          uint64_t edges = 150) {
   Rng rng(seed);
   storage::Catalog db;
-  db.Put("G", dataset::ErdosRenyi(nodes, edges, rng));
+  EXPECT_TRUE(db.Apply(
+      WriteBatch().Create("G", dataset::ErdosRenyi(nodes, edges, rng))).ok());
   return db;
 }
 
@@ -214,9 +217,9 @@ TEST(PrecomputeTest, MaterializedBagEqualsNaiveSubJoin) {
           r1.Append({g.At(i, 0), g.At(i, 1), g.At(i + 1, 1)});
         }
         r1.SortAndDedup();
-        db5.Put(name, std::move(r1));
+        ASSERT_TRUE(db5.Apply(WriteBatch().Create(name, std::move(r1))).ok());
       } else {
-        db5.Put(name, g);
+        ASSERT_TRUE(db5.Apply(WriteBatch().Create(name, g)).ok());
       }
     }
   }

@@ -14,7 +14,8 @@ namespace {
 TEST(ExplainTest, RendersAllPlanSections) {
   Rng rng(5);
   storage::Catalog db;
-  db.Put("G", dataset::ErdosRenyi(40, 250, rng));
+  ASSERT_TRUE(db.Apply(storage::WriteBatch().Create(
+      "G", dataset::ErdosRenyi(40, 250, rng))).ok());
   auto q = query::MakeBenchmarkQuery(5);
   core::Engine engine(&db);
   core::EngineOptions opts;

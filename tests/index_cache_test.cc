@@ -1,5 +1,5 @@
 // Coverage for the shared index layer: the storage::IndexCache's
-// pointer-identity contract, generation-bump invalidation, the
+// pointer-identity contract, write-triggered sweep invalidation, the
 // single-flight build guarantee, and the end-to-end "a prepared
 // query's second run builds zero indexes" acceptance — pinned here at
 // cache-stats level, unreachable from the api-level suites.
@@ -38,7 +38,7 @@ std::vector<int> IdentityPerm(const Relation& rel) {
 
 TEST(IndexCacheTest, HitReturnsPointerIdenticalIndex) {
   Catalog db;
-  db.Put("G", SmallGraph(1));
+  ASSERT_TRUE(db.Apply(WriteBatch().Create("G", SmallGraph(1))).ok());
   std::shared_ptr<const Relation> base = *db.GetShared("G");
 
   auto first = db.index_cache().GetPermuted(base, base->schema(),
@@ -66,7 +66,7 @@ TEST(IndexCacheTest, HitReturnsPointerIdenticalIndex) {
 
 TEST(IndexCacheTest, LabelingsOfOnePermutationSharePayload) {
   Catalog db;
-  db.Put("G", SmallGraph(15));
+  ASSERT_TRUE(db.Apply(WriteBatch().Create("G", SmallGraph(15))).ok());
   std::shared_ptr<const Relation> base = *db.GetShared("G");
 
   // Two attribute labelings of the same physical permutation — the
@@ -91,7 +91,7 @@ TEST(IndexCacheTest, LabelingsOfOnePermutationSharePayload) {
 
 TEST(IndexCacheTest, TrieLessBindSharesRowsAndSkipsTrieBuild) {
   Catalog db;
-  db.Put("G", SmallGraph(16));
+  ASSERT_TRUE(db.Apply(WriteBatch().Create("G", SmallGraph(16))).ok());
   std::shared_ptr<const Relation> base = *db.GetShared("G");
 
   auto rel = db.index_cache().GetPermutedRelation(base, base->schema(),
@@ -114,7 +114,7 @@ TEST(IndexCacheTest, TrieLessBindSharesRowsAndSkipsTrieBuild) {
 
 TEST(IndexCacheTest, DistinctColumnOrdersAreDistinctEntries) {
   Catalog db;
-  db.Put("G", SmallGraph(2));
+  ASSERT_TRUE(db.Apply(WriteBatch().Create("G", SmallGraph(2))).ok());
   std::shared_ptr<const Relation> base = *db.GetShared("G");
 
   auto forward = db.index_cache().GetPermuted(base, base->schema(), {0, 1});
@@ -129,10 +129,10 @@ TEST(IndexCacheTest, DistinctColumnOrdersAreDistinctEntries) {
   EXPECT_EQ(db.index_cache().stats().builds, 6u);
 }
 
-TEST(IndexCacheTest, GenerationBumpEvictsReplacedRelationsIndexes) {
+TEST(IndexCacheTest, ReplacementEvictsReplacedRelationsIndexes) {
   Catalog db;
-  db.Put("G", SmallGraph(3));
-  db.Put("H", SmallGraph(4));
+  ASSERT_TRUE(db.Apply(WriteBatch().Create("G", SmallGraph(3))).ok());
+  ASSERT_TRUE(db.Apply(WriteBatch().Create("H", SmallGraph(4))).ok());
   {
     std::shared_ptr<const Relation> g = *db.GetShared("G");
     std::shared_ptr<const Relation> h = *db.GetShared("H");
@@ -146,17 +146,19 @@ TEST(IndexCacheTest, GenerationBumpEvictsReplacedRelationsIndexes) {
   // Three layered entries (rows, trie, labeled bind) per relation.
   ASSERT_EQ(db.index_cache().size(), 6u);
 
-  // Replacing G bumps the generation and sweeps G's index; H's entries
-  // survive pointer-identical.
+  // Replacing G bumps G's version (only) and sweeps G's index; H's
+  // entries survive pointer-identical.
   const Relation* h_before =
       db.index_cache()
           .GetPermuted(*db.GetShared("H"), (*db.Get("H"))->schema(),
                        IdentityPerm(**db.Get("H")))
           .value()
           ->rel.get();
-  const uint64_t gen_before = db.generation();
-  db.Put("G", SmallGraph(5));
-  EXPECT_GT(db.generation(), gen_before);
+  const uint64_t g_version = db.VersionOf("G");
+  const uint64_t h_version = db.VersionOf("H");
+  ASSERT_TRUE(db.Apply(WriteBatch().Create("G", SmallGraph(5))).ok());
+  EXPECT_GT(db.VersionOf("G"), g_version);
+  EXPECT_EQ(db.VersionOf("H"), h_version);
   EXPECT_EQ(db.index_cache().size(), 3u);
   EXPECT_GE(db.index_cache().stats().evictions, 1u);
   const Relation* h_after =
@@ -170,7 +172,7 @@ TEST(IndexCacheTest, GenerationBumpEvictsReplacedRelationsIndexes) {
 
 TEST(IndexCacheTest, HeldIndexesSurviveReplacementUntilReleased) {
   Catalog db;
-  db.Put("G", SmallGraph(6));
+  ASSERT_TRUE(db.Apply(WriteBatch().Create("G", SmallGraph(6))).ok());
   std::shared_ptr<const Relation> base = *db.GetShared("G");
   auto held = db.index_cache().GetPermuted(base, base->schema(),
                                            IdentityPerm(*base));
@@ -179,20 +181,20 @@ TEST(IndexCacheTest, HeldIndexesSurviveReplacementUntilReleased) {
   // A consumer (here: `base` + `held`, standing in for a prepared
   // ExecutionContext aliasing the relation) still references the old
   // G, so the entry must not be swept out from under it...
-  db.Put("G", SmallGraph(7));
+  ASSERT_TRUE(db.Apply(WriteBatch().Create("G", SmallGraph(7))).ok());
   EXPECT_EQ(db.index_cache().size(), 3u);
 
   // ...but once the last consumer lets go, the next bump collects it.
   held = StatusOr<std::shared_ptr<const PreparedIndex>>(
       Status::Internal("released"));
   base.reset();
-  db.Put("X", SmallGraph(8));
+  ASSERT_TRUE(db.Apply(WriteBatch().Create("X", SmallGraph(8))).ok());
   EXPECT_EQ(db.index_cache().size(), 0u);
 }
 
 TEST(IndexCacheTest, ConcurrentLookupsBuildOnce) {
   Catalog db;
-  db.Put("G", SmallGraph(9, 60, 400));
+  ASSERT_TRUE(db.Apply(WriteBatch().Create("G", SmallGraph(9, 60, 400))).ok());
   std::shared_ptr<const Relation> base = *db.GetShared("G");
 
   constexpr int kThreads = 8;
@@ -236,7 +238,7 @@ TEST(IndexCacheTest, ConcurrentLookupsBuildOnce) {
 
 TEST(IndexCacheTest, FailedBuildIsNotCachedAndRetries) {
   Catalog db;
-  db.Put("G", SmallGraph(10));
+  ASSERT_TRUE(db.Apply(WriteBatch().Create("G", SmallGraph(10))).ok());
   std::shared_ptr<const Relation> base = *db.GetShared("G");
 
   int calls = 0;
@@ -263,8 +265,8 @@ TEST(IndexCacheTest, FailedBuildIsNotCachedAndRetries) {
 
 TEST(IndexCacheTest, ByteBudgetEvictsUnreferencedLru) {
   Catalog db;
-  db.Put("A", SmallGraph(11, 40, 300));
-  db.Put("B", SmallGraph(12, 40, 300));
+  ASSERT_TRUE(db.Apply(WriteBatch().Create("A", SmallGraph(11, 40, 300))).ok());
+  ASSERT_TRUE(db.Apply(WriteBatch().Create("B", SmallGraph(12, 40, 300))).ok());
   std::shared_ptr<const Relation> a = *db.GetShared("A");
   std::shared_ptr<const Relation> b = *db.GetShared("B");
 
@@ -337,7 +339,8 @@ TEST(IndexReuseTest, PreparedSecondRunBuildsZeroIndexes) {
 TEST(IndexReuseTest, RepeatedDirectRunsReuseIndexes) {
   Rng rng(14);
   storage::Catalog db;
-  db.Put("G", dataset::ErdosRenyi(40, 250, rng));
+  ASSERT_TRUE(db.Apply(storage::WriteBatch().Create(
+      "G", dataset::ErdosRenyi(40, 250, rng))).ok());
   core::Engine engine(&db);
   query::Query q = *query::Query::Parse("G(a,b) G(b,c)");
   core::EngineOptions options;

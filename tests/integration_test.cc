@@ -17,7 +17,8 @@ storage::Catalog SmallDb(uint64_t seed, uint64_t nodes = 30,
                          uint64_t edges = 150) {
   Rng rng(seed);
   storage::Catalog db;
-  db.Put("G", dataset::ErdosRenyi(nodes, edges, rng));
+  EXPECT_TRUE(db.Apply(storage::WriteBatch().Create(
+      "G", dataset::ErdosRenyi(nodes, edges, rng))).ok());
   return db;
 }
 
@@ -203,7 +204,8 @@ TEST(EngineTest, BuiltinDatasetSmokeRun) {
   auto g = dataset::MakeBuiltin("WB", 0.05);
   ASSERT_TRUE(g.ok());
   storage::Catalog db;
-  db.Put("G", std::move(g.value()));
+  ASSERT_TRUE(
+      db.Apply(storage::WriteBatch().Create("G", std::move(g.value()))).ok());
   auto q = query::MakeBenchmarkQuery(1);
   Engine engine(&db);
   auto adj = engine.Run(*q, Strategy::kCoOpt, FastOptions());

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numeric>
 
 #include "common/rng.h"
 #include "dataset/generators.h"
@@ -171,6 +174,27 @@ TEST_F(PlanningTest, CheapComputationAvoidsPrecompute) {
   ASSERT_TRUE(plan.ok());
   for (int v = 0; v < decomp_.num_bags(); ++v) {
     EXPECT_FALSE(plan->precompute[size_t(v)]) << "bag " << v;
+  }
+}
+
+TEST_F(PlanningTest, UnknownEstimatesStillYieldValidPlan) {
+  // Once the planning budget is spent (or a sample fails) every
+  // estimate is infinite, so every candidate cost is infinite or NaN.
+  // Alg. 2 must still place each bag; whether the overrun fails the
+  // request is the engine's call, not an Internal error here.
+  for (const double unknown : {std::numeric_limits<double>::infinity(),
+                               std::numeric_limits<double>::quiet_NaN()}) {
+    in_.estimate_bindings = [unknown](AttrMask) { return unknown; };
+    in_.estimate_bag_size = [unknown](int) { return unknown; };
+    in_.estimate_distinct = [unknown](AttrId) { return unknown; };
+    auto plan = OptimizeAdaptivePlan(in_);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    std::vector<int> traversal = plan->traversal;
+    std::sort(traversal.begin(), traversal.end());
+    std::vector<int> all(size_t(decomp_.num_bags()));
+    std::iota(all.begin(), all.end(), 0);
+    EXPECT_EQ(traversal, all);
+    EXPECT_TRUE(ghd::IsValidOrder(decomp_, q_, plan->order));
   }
 }
 

@@ -50,12 +50,14 @@ storage::Catalog MakeCatalog() {
   edges.Append({2, 9});
   edges.Append({2, 3});
   edges.Append({7, 7});
-  db.Put("E", std::move(edges));
-  EXPECT_TRUE(db.Alias("E2", "E").ok());
+  EXPECT_TRUE(
+      db.Apply(storage::WriteBatch().Create("E", std::move(edges))).ok());
+  EXPECT_TRUE(db.Apply(storage::WriteBatch().AliasRelation("E2", "E")).ok());
   storage::Relation triple((storage::Schema({0, 1, 2})));
   triple.Append({1, 2, 3});
   triple.Append({1, 2, 4});
-  db.Put("T", std::move(triple));
+  EXPECT_TRUE(
+      db.Apply(storage::WriteBatch().Create("T", std::move(triple))).ok());
   return db;
 }
 
@@ -140,9 +142,9 @@ TEST(SnapshotRoundTrip, WarmIndexesServeMmapLoaded) {
   ASSERT_TRUE(db.Save(path).ok());
 
   api::Database restarted;
-  const uint64_t gen_before = restarted.generation();
   ASSERT_TRUE(restarted.Open(path).ok());
-  EXPECT_GT(restarted.generation(), gen_before);
+  EXPECT_EQ(restarted.relation_names(), db.relation_names());
+  EXPECT_GT(restarted.relation_version("G"), 0u);
   EXPECT_GT(restarted.catalog().index_cache().stats().mmap_entries, 0u);
 
   api::Session session = restarted.OpenSession();
@@ -201,32 +203,6 @@ TEST(SnapshotRoundTrip, MappedTriesAgreeWithBuild) {
   std::remove(path.c_str());
 }
 
-TEST(SnapshotRoundTrip, LegacyV2WriteRoundTrips) {
-  const std::string path = TempPath("legacy_v2.adjsnap");
-  uint64_t in_memory_count = 0;
-  api::Database db = MakeWarmDatabase(&in_memory_count);
-
-  // Explicit v2 write: raw levels + compressed mirror, no
-  // block-compressed trie segments (compressed tries re-materialize
-  // raw to fit the old format).
-  StatusOr<persist::WriteStats> stats =
-      persist::SnapshotWriter::Write(db.catalog(), path,
-                                     {.version = persist::kMinVersion});
-  ASSERT_TRUE(stats.ok()) << stats.status();
-  EXPECT_EQ(stats->compressed_levels, 0u);
-  EXPECT_GT(stats->tries, 0u);
-
-  api::Database restarted;
-  ASSERT_TRUE(restarted.Open(path).ok());
-  api::Session session = restarted.OpenSession();
-  session.options().cluster.num_servers = 1;
-  session.options().num_samples = 64;
-  api::Result r = session.Run("G(a,b) G(b,c) G(a,c)");
-  ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_EQ(r.count(), in_memory_count);
-  std::remove(path.c_str());
-}
-
 TEST(SnapshotRoundTrip, DeepVerifyPasses) {
   const std::string path = TempPath("verify.adjsnap");
   api::Database db = MakeWarmDatabase(nullptr);
@@ -279,8 +255,9 @@ class SnapshotCorruptionTest : public ::testing::Test {
   void TearDown() override { std::remove(path_.c_str()); }
 
   /// Expects that the file at path_ (already mutated) fails cleanly:
-  /// either Open itself errors, or checksum verification does.
-  void ExpectRejected(const std::string& what) {
+  /// either Open itself errors, or checksum verification does. Returns
+  /// the rejecting Database::Open status.
+  Status ExpectRejected(const std::string& what) {
     StatusOr<persist::SnapshotReader> reader =
         persist::SnapshotReader::Open(path_);
     if (reader.ok()) {
@@ -294,10 +271,12 @@ class SnapshotCorruptionTest : public ::testing::Test {
     storage::Relation keep((storage::Schema({0, 1})));
     keep.Append({1, 2});
     db.AddRelation("KEEP", std::move(keep));
-    const uint64_t gen = db.generation();
-    EXPECT_FALSE(db.Open(path_).ok()) << what;
-    EXPECT_EQ(db.generation(), gen) << what;
+    const uint64_t version = db.relation_version("KEEP");
+    const Status opened = db.Open(path_);
+    EXPECT_FALSE(opened.ok()) << what;
     EXPECT_EQ(db.relation_names(), std::vector<std::string>{"KEEP"}) << what;
+    EXPECT_EQ(db.relation_version("KEEP"), version) << what;
+    return opened;
   }
 
   std::string path_;
@@ -351,14 +330,26 @@ TEST_F(SnapshotCorruptionTest, WrongMagic) {
 }
 
 TEST_F(SnapshotCorruptionTest, WrongVersion) {
-  std::vector<uint8_t> mutated = bytes_;
-  mutated[8] = 0x7F;  // version field
-  WriteFile(path_, mutated);
-  StatusOr<persist::SnapshotReader> reader =
-      persist::SnapshotReader::Open(path_);
-  ASSERT_FALSE(reader.ok());
-  EXPECT_NE(reader.status().ToString().find("version"), std::string::npos);
-  ExpectRejected("wrong version");
+  // The reader accepts kVersion only: the retired v2 layout and an
+  // unknown future version are both refused up front with
+  // InvalidArgument, by the reader and by Database::Open.
+  ASSERT_EQ(bytes_[8], persist::kVersion);
+  for (uint8_t version : {uint8_t(2), uint8_t(0x7F)}) {
+    std::vector<uint8_t> mutated = bytes_;
+    mutated[8] = version;  // version field: little-endian u32 at offset 8
+    WriteFile(path_, mutated);
+    StatusOr<persist::SnapshotReader> reader =
+        persist::SnapshotReader::Open(path_);
+    ASSERT_FALSE(reader.ok());
+    EXPECT_EQ(reader.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(reader.status().ToString().find("format version " +
+                                              std::to_string(version)),
+              std::string::npos)
+        << reader.status();
+    const Status opened =
+        ExpectRejected("version " + std::to_string(version));
+    EXPECT_EQ(opened.code(), StatusCode::kInvalidArgument) << opened;
+  }
 }
 
 TEST_F(SnapshotCorruptionTest, ForeignEndianness) {
@@ -437,7 +428,8 @@ RandomCase MakeRandomCase(uint64_t seed) {
       rel.Append(row);
     }
     rel.SortAndDedup();
-    out.db.Put(name, std::move(rel));
+    EXPECT_TRUE(
+        out.db.Apply(storage::WriteBatch().Create(name, std::move(rel))).ok());
     atoms.push_back(query::Atom{name, storage::Schema(attrs)});
   }
   std::vector<std::string> used_names;

@@ -24,7 +24,8 @@ storage::Catalog SmallCatalog(uint64_t seed, uint64_t nodes = 30,
                               uint64_t edges = 150) {
   Rng rng(seed);
   storage::Catalog db;
-  db.Put("G", dataset::ErdosRenyi(nodes, edges, rng));
+  EXPECT_TRUE(db.Apply(storage::WriteBatch().Create(
+      "G", dataset::ErdosRenyi(nodes, edges, rng))).ok());
   return db;
 }
 
@@ -149,8 +150,10 @@ TEST(PrepareExecutionTest, ContextOutlivesSourceCatalog) {
 TEST(PushDownSelectionsTest, AliasesUntouchedAtoms) {
   Rng rng(5);
   storage::Catalog db;
-  db.Put("G", dataset::ErdosRenyi(40, 250, rng));
-  db.Put("H", dataset::ErdosRenyi(40, 250, rng));
+  ASSERT_TRUE(db.Apply(storage::WriteBatch().Create(
+      "G", dataset::ErdosRenyi(40, 250, rng))).ok());
+  ASSERT_TRUE(db.Apply(storage::WriteBatch().Create(
+      "H", dataset::ErdosRenyi(40, 250, rng))).ok());
 
   // The selection touches only G: H must be aliased, not copied.
   StatusOr<SpjQuery> selected = ParseSpj("G(a,b) H(b,c) | a=1");

@@ -70,7 +70,8 @@ RandomCase MakeRandomCase(uint64_t seed) {
       rel.Append(row);
     }
     rel.SortAndDedup();
-    out.db.Put(name, std::move(rel));
+    EXPECT_TRUE(
+        out.db.Apply(storage::WriteBatch().Create(name, std::move(rel))).ok());
     atoms.push_back(query::Atom{name, storage::Schema(attrs)});
   }
   // Atoms covering fewer than all attrs are fine as long as every

@@ -18,6 +18,7 @@ namespace adj::sampling {
 namespace {
 
 using query::Query;
+using storage::WriteBatch;
 
 TEST(ChernoffTest, SampleCountFormula) {
   // k = ceil(0.5 p^-2 ln(2/delta)).
@@ -29,7 +30,8 @@ TEST(ChernoffTest, SampleCountFormula) {
 
 TEST(SamplerTest, ExactOnCompleteGraphTriangles) {
   storage::Catalog db;
-  db.Put("G", dataset::CompleteGraph(8));
+  ASSERT_TRUE(
+      db.Apply(WriteBatch().Create("G", dataset::CompleteGraph(8))).ok());
   auto q = Query::Parse("G(a,b) G(b,c) G(a,c)");
   SamplerOptions opts;
   opts.num_samples = 64;
@@ -44,7 +46,8 @@ TEST(SamplerTest, ExactOnCompleteGraphTriangles) {
 TEST(SamplerTest, ConvergesWithMoreSamples) {
   Rng rng(11);
   storage::Catalog db;
-  db.Put("G", dataset::ZipfGraph(200, 3000, 0.8, rng));
+  ASSERT_TRUE(db.Apply(
+      WriteBatch().Create("G", dataset::ZipfGraph(200, 3000, 0.8, rng))).ok());
   auto q = Query::Parse("G(a,b) G(b,c) G(a,c)");
   auto naive = wcoj::NaiveJoin(*q, db);
   ASSERT_TRUE(naive.ok());
@@ -71,7 +74,8 @@ TEST(SamplerTest, ConvergesWithMoreSamples) {
 TEST(SamplerTest, PerLevelEstimatesScaleWithSamples) {
   Rng rng(13);
   storage::Catalog db;
-  db.Put("G", dataset::ErdosRenyi(100, 800, rng));
+  ASSERT_TRUE(db.Apply(
+      WriteBatch().Create("G", dataset::ErdosRenyi(100, 800, rng))).ok());
   auto q = Query::Parse("G(a,b) G(b,c)");
   SamplerOptions opts;
   opts.num_samples = 512;
@@ -88,7 +92,8 @@ TEST(SamplerTest, PerLevelEstimatesScaleWithSamples) {
 TEST(SamplerTest, DistributedAccountingPresent) {
   Rng rng(17);
   storage::Catalog db;
-  db.Put("G", dataset::ErdosRenyi(100, 800, rng));
+  ASSERT_TRUE(db.Apply(
+      WriteBatch().Create("G", dataset::ErdosRenyi(100, 800, rng))).ok());
   auto q = Query::Parse("G(a,b) G(b,c) G(a,c)");
   SamplerOptions opts;
   opts.num_samples = 32;
@@ -110,7 +115,8 @@ TEST(SamplerTest, SemijoinReductionShrinksComm) {
   // With few samples, relations containing A shrink a lot.
   Rng rng(19);
   storage::Catalog db;
-  db.Put("G", dataset::ErdosRenyi(500, 4000, rng));
+  ASSERT_TRUE(db.Apply(
+      WriteBatch().Create("G", dataset::ErdosRenyi(500, 4000, rng))).ok());
   auto q = Query::Parse("G(a,b) G(b,c) G(a,c)");
   SamplerOptions small_opts;
   small_opts.num_samples = 4;
@@ -128,7 +134,7 @@ TEST(SamplerTest, EmptyJoinEstimatesZero) {
   storage::Catalog db;
   storage::Relation g(storage::Schema({0, 1}));
   g.Append({1, 2});  // no triangle possible
-  db.Put("G", std::move(g));
+  ASSERT_TRUE(db.Apply(WriteBatch().Create("G", std::move(g))).ok());
   auto q = Query::Parse("G(a,b) G(b,c) G(a,c)");
   SamplerOptions opts;
   opts.num_samples = 16;
@@ -140,7 +146,8 @@ TEST(SamplerTest, EmptyJoinEstimatesZero) {
 TEST(SamplerTest, BetaMeasured) {
   Rng rng(23);
   storage::Catalog db;
-  db.Put("G", dataset::ErdosRenyi(200, 2000, rng));
+  ASSERT_TRUE(db.Apply(
+      WriteBatch().Create("G", dataset::ErdosRenyi(200, 2000, rng))).ok());
   auto q = Query::Parse("G(a,b) G(b,c)");
   SamplerOptions opts;
   opts.num_samples = 512;
@@ -161,7 +168,8 @@ void OnPoolWorker(const std::function<void()>& fn) {
 TEST(ParallelSamplerTest, EstimateIndependentOfThreadCount) {
   Rng rng(41);
   storage::Catalog db;
-  db.Put("G", dataset::ZipfGraph(300, 4000, 0.8, rng));
+  ASSERT_TRUE(db.Apply(
+      WriteBatch().Create("G", dataset::ZipfGraph(300, 4000, 0.8, rng))).ok());
   auto q = Query::Parse("G(a,b) G(b,c) G(c,d) G(a,c)");
   SamplerOptions opts;
   opts.num_samples = 777;
@@ -189,7 +197,8 @@ TEST(ParallelSamplerTest, EstimateIndependentOfThreadCount) {
 TEST(ParallelSamplerTest, ExhaustedBudgetStillRunsOneSample) {
   Rng rng(43);
   storage::Catalog db;
-  db.Put("G", dataset::ErdosRenyi(100, 800, rng));
+  ASSERT_TRUE(db.Apply(
+      WriteBatch().Create("G", dataset::ErdosRenyi(100, 800, rng))).ok());
   auto q = Query::Parse("G(a,b) G(b,c) G(a,c)");
   SamplerOptions opts;
   opts.num_samples = 500;
@@ -218,7 +227,8 @@ TEST(ParallelSamplerTest, ThreadCountIsCoresOffPoolAndOneOnPool) {
 TEST(SketchTest, SingleAtomIsExact) {
   Rng rng(29);
   storage::Catalog db;
-  db.Put("G", dataset::ErdosRenyi(50, 300, rng));
+  ASSERT_TRUE(db.Apply(
+      WriteBatch().Create("G", dataset::ErdosRenyi(50, 300, rng))).ok());
   auto q = Query::Parse("G(a,b) G(b,c)");
   auto sketch = SketchEstimator::Build(*q, db);
   ASSERT_TRUE(sketch.ok());
@@ -228,7 +238,8 @@ TEST(SketchTest, SingleAtomIsExact) {
 
 TEST(SketchTest, TwoWayJoinUsesContainment) {
   storage::Catalog db;
-  db.Put("G", dataset::CompleteGraph(10));
+  ASSERT_TRUE(
+      db.Apply(WriteBatch().Create("G", dataset::CompleteGraph(10))).ok());
   auto q = Query::Parse("G(a,b) G(b,c)");
   auto sketch = SketchEstimator::Build(*q, db);
   ASSERT_TRUE(sketch.ok());
@@ -242,7 +253,8 @@ TEST(SketchTest, SamplingBeatsSketchOnCyclicJoin) {
   // than sampling error.
   Rng rng(31);
   storage::Catalog db;
-  db.Put("G", dataset::ZipfGraph(150, 2500, 0.9, rng));
+  ASSERT_TRUE(db.Apply(
+      WriteBatch().Create("G", dataset::ZipfGraph(150, 2500, 0.9, rng))).ok());
   auto q = Query::Parse("G(a,b) G(b,c) G(a,c)");
   auto naive = wcoj::NaiveJoin(*q, db);
   ASSERT_TRUE(naive.ok());
@@ -267,7 +279,8 @@ TEST(SketchTest, SamplingBeatsSketchOnCyclicJoin) {
 
 TEST(SketchTest, EstimateBindingsSelectsContainedAtoms) {
   storage::Catalog db;
-  db.Put("G", dataset::CompleteGraph(6));
+  ASSERT_TRUE(
+      db.Apply(WriteBatch().Create("G", dataset::CompleteGraph(6))).ok());
   auto q = Query::Parse("G(a,b) G(b,c) G(a,c)");
   auto sketch = SketchEstimator::Build(*q, db);
   ASSERT_TRUE(sketch.ok());

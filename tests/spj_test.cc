@@ -13,7 +13,8 @@ namespace {
 storage::Catalog SmallDb(uint64_t seed) {
   Rng rng(seed);
   storage::Catalog db;
-  db.Put("G", dataset::ErdosRenyi(25, 120, rng));
+  EXPECT_TRUE(db.Apply(storage::WriteBatch().Create(
+      "G", dataset::ErdosRenyi(25, 120, rng))).ok());
   return db;
 }
 

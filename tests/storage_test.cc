@@ -133,11 +133,11 @@ TEST(RelationTest, RandomSortDedupMatchesStdSet) {
   }
 }
 
-TEST(CatalogTest, PutGetContains) {
+TEST(CatalogTest, CreateGetContains) {
   Catalog db;
   Relation r(Schema({0, 1}));
   r.Append({1, 2});
-  db.Put("G", std::move(r));
+  ASSERT_TRUE(db.Apply(WriteBatch().Create("G", std::move(r))).ok());
   EXPECT_TRUE(db.Contains("G"));
   EXPECT_FALSE(db.Contains("H"));
   auto got = db.Get("G");
@@ -151,11 +151,11 @@ TEST(CatalogTest, ReplaceAndTotals) {
   Relation a(Schema({0, 1}));
   a.Append({1, 2});
   a.Append({3, 4});
-  db.Put("R", std::move(a));
+  ASSERT_TRUE(db.Apply(WriteBatch().Create("R", std::move(a))).ok());
   EXPECT_EQ(db.TotalTuples(), 2u);
   Relation b(Schema({0}));
   b.Append({9});
-  db.Put("R", std::move(b));
+  ASSERT_TRUE(db.Apply(WriteBatch().Create("R", std::move(b))).ok());
   EXPECT_EQ(db.TotalTuples(), 1u);
   EXPECT_EQ(db.Names(), std::vector<std::string>{"R"});
 }
@@ -164,18 +164,18 @@ TEST(CatalogTest, AliasSharesPhysicalStorage) {
   Catalog db;
   Relation r(Schema({0, 1}));
   r.Append({1, 2});
-  db.Put("G", std::move(r));
-  ASSERT_TRUE(db.Alias("G2", "G").ok());
-  ASSERT_TRUE(db.Alias("G3", "G2").ok());
+  ASSERT_TRUE(db.Apply(WriteBatch().Create("G", std::move(r))).ok());
+  ASSERT_TRUE(db.Apply(WriteBatch().AliasRelation("G2", "G")).ok());
+  ASSERT_TRUE(db.Apply(WriteBatch().AliasRelation("G3", "G2")).ok());
   EXPECT_TRUE(db.Contains("G2"));
   // All three names resolve to the same physical relation — no copy.
   EXPECT_EQ(*db.Get("G2"), *db.Get("G"));
   EXPECT_EQ(*db.Get("G3"), *db.Get("G"));
   EXPECT_EQ(db.Names(), (std::vector<std::string>{"G", "G2", "G3"}));
   // Self-alias is a harmless no-op; aliasing a missing name fails.
-  EXPECT_TRUE(db.Alias("G", "G").ok());
+  EXPECT_TRUE(db.Apply(WriteBatch().AliasRelation("G", "G")).ok());
   EXPECT_EQ(*db.Get("G"), *db.Get("G2"));
-  EXPECT_FALSE(db.Alias("X", "missing").ok());
+  EXPECT_FALSE(db.Apply(WriteBatch().AliasRelation("X", "missing")).ok());
   EXPECT_FALSE(db.Contains("X"));
 }
 
@@ -184,30 +184,30 @@ TEST(CatalogTest, TotalsCountAliasedRelationsOnce) {
   Relation r(Schema({0, 1}));
   r.Append({1, 2});
   r.Append({3, 4});
-  db.Put("G", std::move(r));
-  ASSERT_TRUE(db.Alias("G2", "G").ok());
+  ASSERT_TRUE(db.Apply(WriteBatch().Create("G", std::move(r))).ok());
+  ASSERT_TRUE(db.Apply(WriteBatch().AliasRelation("G2", "G")).ok());
   EXPECT_EQ(db.TotalTuples(), 2u);
   EXPECT_EQ(db.TotalBytes(), 4 * sizeof(Value));
   // A distinct physical relation still adds to the totals.
   Relation other(Schema({0}));
   other.Append({7});
-  db.Put("H", std::move(other));
+  ASSERT_TRUE(db.Apply(WriteBatch().Create("H", std::move(other))).ok());
   EXPECT_EQ(db.TotalTuples(), 3u);
 }
 
-TEST(CatalogTest, PutReplacementRebindsOnlyThatName) {
+TEST(CatalogTest, ReplacementRebindsOnlyThatName) {
   Catalog db;
   Relation r(Schema({0, 1}));
   r.Append({1, 2});
-  db.Put("G", std::move(r));
-  ASSERT_TRUE(db.Alias("G2", "G").ok());
+  ASSERT_TRUE(db.Apply(WriteBatch().Create("G", std::move(r))).ok());
+  ASSERT_TRUE(db.Apply(WriteBatch().AliasRelation("G2", "G")).ok());
   const Relation* original = *db.Get("G2");
   // Replacing "G" must not disturb the alias, which co-owns the old
   // physical relation.
   Relation fresh(Schema({0, 1}));
   fresh.Append({5, 6});
   fresh.Append({7, 8});
-  db.Put("G", std::move(fresh));
+  ASSERT_TRUE(db.Apply(WriteBatch().Create("G", std::move(fresh))).ok());
   EXPECT_EQ(*db.Get("G2"), original);
   EXPECT_EQ((*db.Get("G2"))->At(0, 0), 1u);
   EXPECT_EQ((*db.Get("G"))->size(), 2u);
@@ -215,18 +215,19 @@ TEST(CatalogTest, PutReplacementRebindsOnlyThatName) {
   EXPECT_EQ(db.TotalTuples(), 3u);  // two distinct physical relations
 }
 
-TEST(CatalogTest, PutSharedBorrowsAcrossCatalogs) {
+TEST(CatalogTest, SharedCreateBorrowsAcrossCatalogs) {
   Catalog exec_db;
   const Relation* borrowed = nullptr;
   {
     Catalog source;
     Relation r(Schema({0, 1}));
     r.Append({1, 2});
-    source.Put("G", std::move(r));
+    ASSERT_TRUE(source.Apply(WriteBatch().Create("G", std::move(r))).ok());
     auto shared = source.GetShared("G");
     ASSERT_TRUE(shared.ok());
     borrowed = shared->get();
-    ASSERT_TRUE(exec_db.PutShared("G", std::move(shared.value())).ok());
+    ASSERT_TRUE(exec_db.Apply(
+        WriteBatch().Create("G", std::move(shared.value()))).ok());
     EXPECT_EQ(*exec_db.Get("G"), *source.Get("G"));
     EXPECT_FALSE(source.GetShared("missing").ok());
   }
@@ -236,38 +237,50 @@ TEST(CatalogTest, PutSharedBorrowsAcrossCatalogs) {
   EXPECT_EQ(*exec_db.Get("G"), borrowed);
   EXPECT_EQ((*exec_db.Get("G"))->At(0, 1), 2u);
   EXPECT_EQ(exec_db.TotalTuples(), 1u);
-  EXPECT_FALSE(exec_db.PutShared("null", nullptr).ok());
+  EXPECT_FALSE(exec_db.Apply(WriteBatch().Create("null", nullptr)).ok());
   EXPECT_FALSE(exec_db.Contains("null"));
 }
 
-TEST(CatalogTest, GenerationBumpsOnEveryMappingMutation) {
+TEST(CatalogTest, VersionBumpsOnlyTheWrittenName) {
   Catalog db;
-  EXPECT_EQ(db.generation(), 0u);
+  auto versions = [&db] {
+    return std::vector<uint64_t>{db.VersionOf("G"), db.VersionOf("G2"),
+                                 db.VersionOf("G3")};
+  };
+  using V = std::vector<uint64_t>;
+  EXPECT_EQ(versions(), (V{0, 0, 0}));
 
   Relation r(Schema({0, 1}));
   r.Append({1, 2});
-  db.Put("G", std::move(r));
-  EXPECT_EQ(db.generation(), 1u);
+  ASSERT_TRUE(db.Apply(WriteBatch().Create("G", std::move(r))).ok());
+  EXPECT_EQ(versions(), (V{1, 0, 0}));
 
-  // Every successful mapping mutation bumps: Alias, PutShared, and a
-  // replacing Put all invalidate plans built against the old mapping.
-  ASSERT_TRUE(db.Alias("G2", "G").ok());
-  EXPECT_EQ(db.generation(), 2u);
+  // Every create, alias (re)bind and replace bumps exactly the name it
+  // writes: the alias source and every other name keep their version.
+  ASSERT_TRUE(db.Apply(WriteBatch().AliasRelation("G2", "G")).ok());
+  EXPECT_EQ(versions(), (V{1, 1, 0}));
   auto shared = db.GetShared("G");
   ASSERT_TRUE(shared.ok());
-  ASSERT_TRUE(db.PutShared("G3", std::move(shared.value())).ok());
-  EXPECT_EQ(db.generation(), 3u);
+  ASSERT_TRUE(db.Apply(WriteBatch().Create("G3", std::move(*shared))).ok());
+  EXPECT_EQ(versions(), (V{1, 1, 1}));
   Relation replacement(Schema({0, 1}));
   replacement.Append({7, 8});
-  db.Put("G", std::move(replacement));
-  EXPECT_EQ(db.generation(), 4u);
+  ASSERT_TRUE(db.Apply(WriteBatch().Create("G", std::move(replacement))).ok());
+  EXPECT_EQ(versions(), (V{2, 1, 1}));
+  ASSERT_TRUE(db.Apply(WriteBatch().AliasRelation("G2", "G")).ok());
+  EXPECT_EQ(versions(), (V{2, 2, 1}));
 
-  // Reads and failed mutations leave the generation untouched.
+  // Reads and rejected batches bump nothing — including a batch whose
+  // valid first op is discarded with its failing second one.
   (void)db.Get("G");
   (void)db.Names();
-  EXPECT_FALSE(db.Alias("X", "missing").ok());
-  EXPECT_FALSE(db.PutShared("null", nullptr).ok());
-  EXPECT_EQ(db.generation(), 4u);
+  EXPECT_FALSE(db.Apply(WriteBatch().AliasRelation("X", "missing")).ok());
+  EXPECT_FALSE(db.Apply(WriteBatch().Create("null", nullptr)).ok());
+  Relation rejected(Schema({0, 1}));
+  EXPECT_FALSE(db.Apply(WriteBatch().Create(
+      "G3", std::move(rejected)).AliasRelation("X", "missing")).ok());
+  EXPECT_EQ(versions(), (V{2, 2, 1}));
+  EXPECT_EQ(db.Names(), (std::vector<std::string>{"G", "G2", "G3"}));
 }
 
 }  // namespace

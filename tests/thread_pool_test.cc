@@ -114,7 +114,8 @@ TEST(RunTasksTest, ParallelSumsMatch) {
 TEST(ThreadedHCubeJTest, SameCountsAsSequential) {
   Rng rng(77);
   storage::Catalog db;
-  db.Put("G", dataset::ErdosRenyi(40, 250, rng));
+  ASSERT_TRUE(db.Apply(storage::WriteBatch().Create(
+      "G", dataset::ErdosRenyi(40, 250, rng))).ok());
   for (int qi : {1, 2, 5}) {
     auto q = query::MakeBenchmarkQuery(qi);
     query::AttributeOrder order;
@@ -139,7 +140,8 @@ TEST(ThreadedHCubeJTest, SameCountsAsSequential) {
 TEST(ThreadedHCubeJTest, CollectedOutputOrderIndependent) {
   Rng rng(79);
   storage::Catalog db;
-  db.Put("G", dataset::ErdosRenyi(30, 180, rng));
+  ASSERT_TRUE(db.Apply(storage::WriteBatch().Create(
+      "G", dataset::ErdosRenyi(30, 180, rng))).ok());
   auto q = query::MakeBenchmarkQuery(1);
   query::AttributeOrder order = {0, 1, 2};
   ClusterConfig cfg;

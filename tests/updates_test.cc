@@ -55,7 +55,7 @@ std::set<Edge> ToEdges(const Relation& rel) {
 /// built from scratch (no deltas, no caches) plus the naive evaluator.
 uint64_t RebuildOracle(const std::set<Edge>& edges, const std::string& text) {
   Catalog db;
-  db.Put("G", FromEdges(edges));
+  EXPECT_TRUE(db.Apply(WriteBatch().Create("G", FromEdges(edges))).ok());
   StatusOr<core::SpjQuery> spj = core::ParseSpj(text);
   EXPECT_TRUE(spj.ok()) << spj.status();
   StatusOr<Relation> joined = wcoj::NaiveJoin(spj->join, db);
@@ -68,9 +68,10 @@ uint64_t RebuildOracle(const std::set<Edge>& edges, const std::string& text) {
 
 TEST(WriteBatchTest, ApplyIsAtomic) {
   Catalog db;
-  db.Put("G", FromEdges({{1, 2}, {2, 3}}));
+  ASSERT_TRUE(
+      db.Apply(WriteBatch().Create("G", FromEdges({{1, 2}, {2, 3}}))).ok());
   const uint64_t version = db.VersionOf("G");
-  const uint64_t generation = db.generation();
+  const std::vector<std::string> names = db.Names();
 
   // Valid prefix + invalid tail: nothing may stick.
   WriteBatch batch;
@@ -78,19 +79,20 @@ TEST(WriteBatchTest, ApplyIsAtomic) {
   batch.Insert("G", {9});  // arity mismatch
   EXPECT_FALSE(db.Apply(batch).ok());
   EXPECT_EQ(db.VersionOf("G"), version);
-  EXPECT_EQ(db.generation(), generation);
   EXPECT_EQ(ToEdges(**db.Get("G")), (std::set<Edge>{{1, 2}, {2, 3}}));
 
-  WriteBatch missing;
-  missing.Insert("NoSuch", {1, 2});
-  EXPECT_FALSE(db.Apply(missing).ok());
-  EXPECT_EQ(db.generation(), generation);
+  // A create queued before a failing op is discarded with it.
+  EXPECT_FALSE(db.Apply(WriteBatch().Create(
+      "H", FromEdges({{4, 5}})).Insert("NoSuch", {1, 2})).ok());
+  EXPECT_EQ(db.VersionOf("G"), version);
+  EXPECT_EQ(db.VersionOf("H"), 0u);
+  EXPECT_EQ(db.Names(), names);
 }
 
 TEST(WriteBatchTest, VersionsBumpOnlyWrittenNames) {
   Catalog db;
-  db.Put("G", FromEdges({{1, 2}}));
-  db.Put("H", FromEdges({{3, 4}}));
+  ASSERT_TRUE(db.Apply(WriteBatch().Create("G", FromEdges({{1, 2}}))).ok());
+  ASSERT_TRUE(db.Apply(WriteBatch().Create("H", FromEdges({{3, 4}}))).ok());
   const uint64_t g_version = db.VersionOf("G");
   const uint64_t h_version = db.VersionOf("H");
 
@@ -104,7 +106,8 @@ TEST(WriteBatchTest, VersionsBumpOnlyWrittenNames) {
 
 TEST(WriteBatchTest, ContentNoOpWriteKeepsVersion) {
   Catalog db;
-  db.Put("G", FromEdges({{1, 2}, {2, 3}}));
+  ASSERT_TRUE(
+      db.Apply(WriteBatch().Create("G", FromEdges({{1, 2}, {2, 3}}))).ok());
   const uint64_t version = db.VersionOf("G");
 
   // Inserting a present tuple and deleting an absent one change no
@@ -121,7 +124,7 @@ TEST(WriteBatchTest, ContentNoOpWriteKeepsVersion) {
 TEST(WriteBatchTest, DeltaChainCompactsAtThreshold) {
   Catalog db;
   db.set_delta_compact_threshold(4);
-  db.Put("G", FromEdges({{1, 1}}));
+  ASSERT_TRUE(db.Apply(WriteBatch().Create("G", FromEdges({{1, 1}}))).ok());
 
   // Below the threshold the chain is pending; crossing it folds the
   // chain into a new base.
@@ -148,7 +151,7 @@ TEST(WriteBatchTest, DeltaChainCompactsAtThreshold) {
 
 TEST(WriteBatchTest, TombstoneOfADeltaRow) {
   Catalog db;
-  db.Put("G", FromEdges({{1, 2}}));
+  ASSERT_TRUE(db.Apply(WriteBatch().Create("G", FromEdges({{1, 2}}))).ok());
 
   // {5,6} only ever exists as a delta insert; the later tombstone must
   // cancel it out of the *chain*, not just the base.
@@ -309,7 +312,8 @@ TEST(ComposeDeltaTest, CompositionEqualsSequentialApplication) {
   Rng rng(777);
   for (int round = 0; round < 30; ++round) {
     Catalog sequential;
-    sequential.Put("G", dataset::ErdosRenyi(12, 30, rng));
+    ASSERT_TRUE(sequential.Apply(
+        WriteBatch().Create("G", dataset::ErdosRenyi(12, 30, rng))).ok());
     const std::set<Edge> start = ToEdges(**sequential.Get("G"));
 
     auto random_batch = [&] {
@@ -334,7 +338,7 @@ TEST(ComposeDeltaTest, CompositionEqualsSequentialApplication) {
     // composed net delta the index cache patches with (checked against
     // the sequential result via a third, batch-merged application).
     Catalog merged;
-    merged.Put("G", FromEdges(start));
+    ASSERT_TRUE(merged.Apply(WriteBatch().Create("G", FromEdges(start))).ok());
     ASSERT_TRUE(merged.Apply(first).ok());
     ASSERT_TRUE(merged.Apply(second).ok());
     EXPECT_EQ(ToEdges(**merged.Get("G")), ToEdges(**sequential.Get("G")));

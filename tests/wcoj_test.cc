@@ -13,11 +13,13 @@ namespace adj::wcoj {
 namespace {
 
 using query::Query;
+using storage::WriteBatch;
 
 storage::Catalog SmallGraphDb(uint64_t seed, uint64_t nodes, uint64_t edges) {
   Rng rng(seed);
   storage::Catalog db;
-  db.Put("G", dataset::ErdosRenyi(nodes, edges, rng));
+  EXPECT_TRUE(db.Apply(
+      WriteBatch().Create("G", dataset::ErdosRenyi(nodes, edges, rng))).ok());
   return db;
 }
 
@@ -46,7 +48,8 @@ StatusOr<uint64_t> RunLeapfrog(const Query& q, const storage::Catalog& db,
 
 TEST(NaiveJoinTest, TriangleOnCompleteGraph) {
   storage::Catalog db;
-  db.Put("G", dataset::CompleteGraph(5));
+  ASSERT_TRUE(
+      db.Apply(WriteBatch().Create("G", dataset::CompleteGraph(5))).ok());
   auto q = Query::Parse("G(a,b) G(b,c) G(a,c)");
   auto result = NaiveJoin(*q, db);
   ASSERT_TRUE(result.ok());
@@ -56,7 +59,7 @@ TEST(NaiveJoinTest, TriangleOnCompleteGraph) {
 
 TEST(NaiveJoinTest, PathQueryOnPathGraph) {
   storage::Catalog db;
-  db.Put("G", dataset::PathGraph(5));
+  ASSERT_TRUE(db.Apply(WriteBatch().Create("G", dataset::PathGraph(5))).ok());
   auto q = Query::Parse("G(a,b) G(b,c)");
   auto result = NaiveJoin(*q, db);
   ASSERT_TRUE(result.ok());
@@ -65,7 +68,8 @@ TEST(NaiveJoinTest, PathQueryOnPathGraph) {
 
 TEST(NaiveJoinTest, RowLimitTrips) {
   storage::Catalog db;
-  db.Put("G", dataset::CompleteGraph(10));
+  ASSERT_TRUE(
+      db.Apply(WriteBatch().Create("G", dataset::CompleteGraph(10))).ok());
   auto q = Query::Parse("G(a,b) G(b,c)");
   auto result = NaiveJoin(*q, db, /*row_limit=*/10);
   ASSERT_FALSE(result.ok());
@@ -99,7 +103,8 @@ TEST(HashJoinTest, NoSharedAttributesIsCartesian) {
 
 TEST(LeapfrogTest, TriangleOnCompleteGraphMatchesClosedForm) {
   storage::Catalog db;
-  db.Put("G", dataset::CompleteGraph(6));
+  ASSERT_TRUE(
+      db.Apply(WriteBatch().Create("G", dataset::CompleteGraph(6))).ok());
   auto q = Query::Parse("G(a,b) G(b,c) G(a,c)");
   auto count = RunLeapfrog(*q, db, {0, 1, 2});
   ASSERT_TRUE(count.ok());
@@ -135,11 +140,11 @@ TEST(LeapfrogTest, PaperWorkedExample) {
     r5.Append({row[0], row[1]});
   }
   r5.SortAndDedup();
-  db.Put("R1", std::move(r1));
-  db.Put("R2", std::move(r2));
-  db.Put("R3", std::move(r3));
-  db.Put("R4", std::move(r4));
-  db.Put("R5", std::move(r5));
+  ASSERT_TRUE(db.Apply(WriteBatch().Create("R1", std::move(r1))).ok());
+  ASSERT_TRUE(db.Apply(WriteBatch().Create("R2", std::move(r2))).ok());
+  ASSERT_TRUE(db.Apply(WriteBatch().Create("R3", std::move(r3))).ok());
+  ASSERT_TRUE(db.Apply(WriteBatch().Create("R4", std::move(r4))).ok());
+  ASSERT_TRUE(db.Apply(WriteBatch().Create("R5", std::move(r5))).ok());
   auto q = Query::Parse("R1(a,b,c) R2(a,d) R3(c,d) R4(b,e) R5(c,e)");
   JoinStats stats;
   auto count = RunLeapfrog(*q, db, {0, 1, 2, 3, 4}, &stats);
@@ -157,7 +162,8 @@ TEST(LeapfrogTest, PaperWorkedExample) {
 
 TEST(LeapfrogTest, EmptyInputYieldsZero) {
   storage::Catalog db;
-  db.Put("G", storage::Relation(storage::Schema({0, 1})));
+  ASSERT_TRUE(db.Apply(WriteBatch().Create(
+      "G", storage::Relation(storage::Schema({0, 1})))).ok());
   auto q = Query::Parse("G(a,b) G(b,c)");
   auto count = RunLeapfrog(*q, db, {0, 1, 2});
   ASSERT_TRUE(count.ok());
@@ -166,7 +172,8 @@ TEST(LeapfrogTest, EmptyInputYieldsZero) {
 
 TEST(LeapfrogTest, FirstValuePinning) {
   storage::Catalog db;
-  db.Put("G", dataset::CompleteGraph(5));
+  ASSERT_TRUE(
+      db.Apply(WriteBatch().Create("G", dataset::CompleteGraph(5))).ok());
   auto q = Query::Parse("G(a,b) G(b,c) G(a,c)");
   // Sum over all pinned first values == total count.
   uint64_t total = 0;
@@ -184,7 +191,8 @@ TEST(LeapfrogTest, FirstValuePinning) {
 
 TEST(LeapfrogTest, ExtensionLimitTrips) {
   storage::Catalog db;
-  db.Put("G", dataset::CompleteGraph(10));
+  ASSERT_TRUE(
+      db.Apply(WriteBatch().Create("G", dataset::CompleteGraph(10))).ok());
   auto q = Query::Parse("G(a,b) G(b,c) G(a,c)");
   const std::vector<int> rank = query::RankOf({0, 1, 2}, 3);
   std::vector<PreparedRelation> prepared;
@@ -317,7 +325,8 @@ TEST(CachedLeapfrogTest, CacheHitsOnRepetitiveStructure) {
   // keyed by (a, c) only, so every additional b binding with the same
   // (a, c) re-uses the cached intersection — CacheTrieJoin's win.
   storage::Catalog db;
-  db.Put("G", dataset::CompleteGraph(10));
+  ASSERT_TRUE(
+      db.Apply(WriteBatch().Create("G", dataset::CompleteGraph(10))).ok());
   auto q = Query::Parse("G(a,b) G(b,c) G(c,d) G(d,a)");
   JoinStats stats;
   IntersectionCache cache(1 << 22);

@@ -10,11 +10,14 @@
 namespace adj::exec {
 namespace {
 
+using storage::WriteBatch;
+
 storage::Catalog SmallDb(uint64_t seed, uint64_t nodes = 30,
                          uint64_t edges = 150) {
   Rng rng(seed);
   storage::Catalog db;
-  db.Put("G", dataset::ErdosRenyi(nodes, edges, rng));
+  EXPECT_TRUE(db.Apply(
+      WriteBatch().Create("G", dataset::ErdosRenyi(nodes, edges, rng))).ok());
   return db;
 }
 
@@ -78,7 +81,7 @@ TEST(YannakakisTest, ReductionBoundsIntermediates) {
   // On a path query with many dangling edges, full reduction keeps
   // intermediates at most the bag sizes after reduction.
   storage::Catalog db;
-  db.Put("G", dataset::PathGraph(50));
+  ASSERT_TRUE(db.Apply(WriteBatch().Create("G", dataset::PathGraph(50))).ok());
   auto q = query::Query::Parse("G(a,b) G(b,c) G(c,d) G(d,e)");
   YannakakisStats stats;
   auto result = YannakakisJoinAuto(*q, db, &stats);
@@ -90,7 +93,8 @@ TEST(YannakakisTest, ReductionBoundsIntermediates) {
 
 TEST(YannakakisTest, RowLimitPropagates) {
   storage::Catalog db;
-  db.Put("G", dataset::CompleteGraph(12));
+  ASSERT_TRUE(
+      db.Apply(WriteBatch().Create("G", dataset::CompleteGraph(12))).ok());
   auto q = query::MakeBenchmarkQuery(2);
   auto result = YannakakisJoinAuto(*q, db, nullptr, /*row_limit=*/10);
   ASSERT_FALSE(result.ok());
@@ -99,7 +103,8 @@ TEST(YannakakisTest, RowLimitPropagates) {
 
 TEST(YannakakisTest, EmptyInputYieldsEmpty) {
   storage::Catalog db;
-  db.Put("G", storage::Relation(storage::Schema({0, 1})));
+  ASSERT_TRUE(db.Apply(WriteBatch().Create(
+      "G", storage::Relation(storage::Schema({0, 1})))).ok());
   auto q = query::Query::Parse("G(a,b) G(b,c)");
   auto result = YannakakisJoinAuto(*q, db);
   ASSERT_TRUE(result.ok());
