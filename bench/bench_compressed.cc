@@ -16,8 +16,8 @@
 //      executor scratch) is allowed to cost a little, not a lot.
 //   3. Answers agree.
 //
-// Emits BENCH_compressed.json so the size/speed trade-off is recorded
-// per run. Scale knob: ADJ_BENCH_SCALE (bench_util.h).
+// Records its numbers in BENCH_compressed.json (FinishGates,
+// bench_util.h). Scale knob: ADJ_BENCH_SCALE (bench_util.h).
 #include <cstdio>
 #include <memory>
 #include <set>
@@ -90,7 +90,6 @@ int Run() {
   // well clear of timer noise, and the 0.6x size gate needs levels
   // past the compressor's min-size threshold.
   const double scale = ScaleFromEnv(4.0);
-  int failures = 0;
 
   PreparedRun raw = Prepare(scale, /*compress=*/false);
   PreparedRun comp = Prepare(scale, /*compress=*/true);
@@ -104,79 +103,29 @@ int Run() {
   const double run_ratio =
       raw.best_run_s > 0 ? comp.best_run_s / raw.best_run_s : 1.0;
 
-  std::printf(
-      "compressed smoke: out=%llu trie_bytes(raw=%llu compressed=%llu "
-      "ratio=%.3f) run(raw=%.4fs compressed=%.4fs ratio=%.3f) "
-      "report(bytes=%llu blocks=%llu)\n",
-      static_cast<unsigned long long>(comp.count),
-      static_cast<unsigned long long>(raw_trie_bytes),
-      static_cast<unsigned long long>(comp_trie_bytes), byte_ratio,
-      raw.best_run_s, comp.best_run_s, run_ratio,
-      static_cast<unsigned long long>(comp.compressed_bytes),
-      static_cast<unsigned long long>(comp.blocks_decoded));
-
-  FILE* json = std::fopen("BENCH_compressed.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json,
-                 "{\n"
-                 "  \"bench\": \"compressed\",\n"
-                 "  \"query\": \"%s\",\n"
-                 "  \"dataset\": \"WB\",\n"
-                 "  \"scale\": %.4f,\n"
-                 "  \"output_count\": %llu,\n"
-                 "  \"raw_trie_bytes\": %llu,\n"
-                 "  \"compressed_trie_bytes\": %llu,\n"
-                 "  \"trie_byte_ratio\": %.4f,\n"
-                 "  \"raw_run_seconds\": %.6f,\n"
-                 "  \"compressed_run_seconds\": %.6f,\n"
-                 "  \"run_ratio\": %.4f,\n"
-                 "  \"compressed_bytes_reported\": %llu,\n"
-                 "  \"blocks_decoded\": %llu\n"
-                 "}\n",
-                 kQuery, scale,
-                 static_cast<unsigned long long>(comp.count),
-                 static_cast<unsigned long long>(raw_trie_bytes),
-                 static_cast<unsigned long long>(comp_trie_bytes),
-                 byte_ratio, raw.best_run_s, comp.best_run_s, run_ratio,
-                 static_cast<unsigned long long>(comp.compressed_bytes),
-                 static_cast<unsigned long long>(comp.blocks_decoded));
-    std::fclose(json);
-  }
-
-  if (byte_ratio > kMaxTrieByteRatio) {
-    std::fprintf(stderr,
-                 "FAIL: compressed trie bytes %.3fx of raw (> %.2f)\n",
-                 byte_ratio, kMaxTrieByteRatio);
-    ++failures;
-  }
-  if (run_ratio > kMaxRunRatio) {
-    std::fprintf(stderr, "FAIL: compressed run %.3fx of raw (> %.2f)\n",
-                 run_ratio, kMaxRunRatio);
-    ++failures;
-  }
-  if (comp.count != raw.count) {
-    std::fprintf(stderr, "FAIL: compressed count %llu != raw %llu\n",
-                 static_cast<unsigned long long>(comp.count),
-                 static_cast<unsigned long long>(raw.count));
-    ++failures;
-  }
-  if (comp.compressed_bytes == 0 || comp.blocks_decoded == 0) {
-    std::fprintf(stderr,
-                 "FAIL: compressed run reported bytes=%llu blocks=%llu "
-                 "(want both nonzero)\n",
-                 static_cast<unsigned long long>(comp.compressed_bytes),
-                 static_cast<unsigned long long>(comp.blocks_decoded));
-    ++failures;
-  }
-  if (raw.compressed_bytes != 0 || raw.blocks_decoded != 0) {
-    std::fprintf(stderr,
-                 "FAIL: raw run reported bytes=%llu blocks=%llu "
-                 "(want both zero)\n",
-                 static_cast<unsigned long long>(raw.compressed_bytes),
-                 static_cast<unsigned long long>(raw.blocks_decoded));
-    ++failures;
-  }
-  return failures == 0 ? 0 : 1;
+  std::printf("compressed: dataset=WB query=\"%s\"\n", kQuery);
+  GateResult result;
+  result.Add("scale", scale, "x");
+  result.Add("output_count", comp.count, "count");
+  result.Add("raw_trie_bytes", raw_trie_bytes, "B");
+  result.Add("compressed_trie_bytes", comp_trie_bytes, "B");
+  result.Add("trie_byte_ratio", byte_ratio, "x");
+  result.Add("raw_run_s", raw.best_run_s, "s");
+  result.Add("compressed_run_s", comp.best_run_s, "s");
+  result.Add("run_ratio", run_ratio, "x");
+  result.Add("compressed_bytes_reported", comp.compressed_bytes, "B");
+  result.Add("blocks_decoded", comp.blocks_decoded, "count");
+  result.Check(byte_ratio <= kMaxTrieByteRatio,
+               "compressed trie bytes <= " + Num(kMaxTrieByteRatio) +
+                   "x raw");
+  result.Check(run_ratio <= kMaxRunRatio,
+               "compressed warm run <= " + Num(kMaxRunRatio) + "x raw");
+  result.Check(comp.count == raw.count, "compressed count == raw count");
+  result.Check(comp.compressed_bytes > 0 && comp.blocks_decoded > 0,
+               "compressed run reports nonzero bytes and blocks decoded");
+  result.Check(raw.compressed_bytes == 0 && raw.blocks_decoded == 0,
+               "raw run reports zero compressed bytes and blocks decoded");
+  return FinishGates("compressed", result);
 }
 
 }  // namespace

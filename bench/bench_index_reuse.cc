@@ -6,12 +6,11 @@
 // workload is the serving hot path the index layer exists for: a
 // selective prepared query re-executed against stable data. Exits
 // non-zero on any violation, so CI's Release leg catches a regression
-// of the reuse path, and emits BENCH_index_reuse.json so the perf
-// trajectory is recorded per run.
+// of the reuse path, and records its numbers in BENCH_index_reuse.json
+// (FinishGates, bench_util.h).
 //
 // Scale knobs: ADJ_BENCH_SCALE / ADJ_BENCH_SERVERS (bench_util.h).
 #include <cstdio>
-#include <string>
 
 #include "bench/bench_util.h"
 #include "common/timer.h"
@@ -56,61 +55,23 @@ int Run() {
   }
   const double speedup = warm_s > 0 ? cold_s / warm_s : kMinSpeedup * 10;
 
-  std::printf(
-      "index-reuse smoke: out=%llu prepare=%.4fs cold=%.4fs warm=%.4fs "
-      "speedup=%.1fx builds(cold=%llu warm=%llu) pinned=%llu bytes\n",
-      static_cast<unsigned long long>(warm.count()), prepare_s, cold_s,
-      warm_s, speedup,
-      static_cast<unsigned long long>(cold.index_builds()),
-      static_cast<unsigned long long>(warm.index_builds()),
-      static_cast<unsigned long long>(prepared->resident_bytes()));
-
-  FILE* json = std::fopen("BENCH_index_reuse.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json,
-                 "{\n"
-                 "  \"bench\": \"index_reuse\",\n"
-                 "  \"query\": \"%s\",\n"
-                 "  \"dataset\": \"WB\",\n"
-                 "  \"scale\": %.4f,\n"
-                 "  \"prepare_seconds\": %.6f,\n"
-                 "  \"output_count\": %llu,\n"
-                 "  \"cold_seconds\": %.6f,\n"
-                 "  \"warm_seconds\": %.6f,\n"
-                 "  \"speedup\": %.2f,\n"
-                 "  \"index_builds_cold\": %llu,\n"
-                 "  \"index_builds_warm\": %llu,\n"
-                 "  \"index_reused_warm\": %llu,\n"
-                 "  \"pinned_index_bytes\": %llu\n"
-                 "}\n",
-                 kQuery, scale, prepare_s,
-                 static_cast<unsigned long long>(warm.count()), cold_s,
-                 warm_s, speedup,
-                 static_cast<unsigned long long>(cold.index_builds()),
-                 static_cast<unsigned long long>(warm.index_builds()),
-                 static_cast<unsigned long long>(warm.index_reused()),
-                 static_cast<unsigned long long>(prepared->resident_bytes()));
-    std::fclose(json);
-  }
-
-  int failures = 0;
-  if (warm.index_builds() != 0) {
-    std::fprintf(stderr, "FAIL: warm run built %llu indexes (want 0)\n",
-                 static_cast<unsigned long long>(warm.index_builds()));
-    ++failures;
-  }
-  if (warm.count() != cold.count()) {
-    std::fprintf(stderr, "FAIL: warm count %llu != cold count %llu\n",
-                 static_cast<unsigned long long>(warm.count()),
-                 static_cast<unsigned long long>(cold.count()));
-    ++failures;
-  }
-  if (speedup < kMinSpeedup) {
-    std::fprintf(stderr, "FAIL: warm speedup %.1fx < %.1fx\n", speedup,
-                 kMinSpeedup);
-    ++failures;
-  }
-  return failures == 0 ? 0 : 1;
+  std::printf("index_reuse: dataset=WB query=\"%s\"\n", kQuery);
+  GateResult result;
+  result.Add("scale", scale, "x");
+  result.Add("output_count", warm.count(), "count");
+  result.Add("prepare_s", prepare_s, "s");
+  result.Add("cold_s", cold_s, "s");
+  result.Add("warm_s", warm_s, "s");
+  result.Add("speedup", speedup, "x");
+  result.Add("index_builds_cold", cold.index_builds(), "count");
+  result.Add("index_builds_warm", warm.index_builds(), "count");
+  result.Add("index_reused_warm", warm.index_reused(), "count");
+  result.Add("pinned_index_bytes", prepared->resident_bytes(), "B");
+  result.Check(warm.index_builds() == 0, "warm run builds 0 indexes");
+  result.Check(warm.count() == cold.count(), "warm count == cold count");
+  result.Check(speedup >= kMinSpeedup,
+               "warm speedup >= " + Num(kMinSpeedup) + "x cold");
+  return FinishGates("index_reuse", result);
 }
 
 }  // namespace

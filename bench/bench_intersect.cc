@@ -20,7 +20,8 @@
 //
 // Allocations are counted by overriding global operator new/delete in
 // this binary. Exits non-zero on any violation so CI's Release leg
-// catches a regression; emits BENCH_intersect.json for the record.
+// catches a regression; records its numbers in BENCH_intersect.json
+// (FinishGates, bench_util.h).
 //
 // Scale knob: ADJ_BENCH_SCALE (bench_util.h) multiplies the workload.
 #include <atomic>
@@ -156,7 +157,11 @@ JoinRun RunTriangle(const wcoj::PreparedRelation& ab,
 
 int Run() {
   const double scale = ScaleFromEnv(1.0);
-  int failures = 0;
+  const Kernel simd = ActiveKernel();
+  const bool have_simd = simd != Kernel::kScalar;
+  std::printf("intersect: kernel=%s\n", KernelName(simd));
+  GateResult result;
+  result.Add("scale", scale, "x");
 
   // ---- Gate 1: SIMD kernel vs scalar on the Descend-shaped 2-way
   // intersection: sparse probes (avg gap ~4.5) against a dense run.
@@ -169,28 +174,19 @@ int Run() {
   size_t n_scalar = 0, n_simd = 0;
   const double scalar_s =
       TimeKernel(Kernel::kScalar, a, b, &out, reps, &n_scalar);
-  const Kernel simd = ActiveKernel();
-  const bool have_simd = simd != Kernel::kScalar;
   double simd_s = 0.0;
   double kernel_ratio = 0.0;
   if (have_simd) {
     simd_s = TimeKernel(simd, a, b, &out, reps, &n_simd);
     kernel_ratio = simd_s > 0 ? scalar_s / simd_s : kMinKernelRatio * 10;
-    if (n_simd != n_scalar) {
-      std::fprintf(stderr, "FAIL: SIMD result size %zu != scalar %zu\n",
-                   n_simd, n_scalar);
-      ++failures;
-    }
-    if (kernel_ratio < kMinKernelRatio) {
-      std::fprintf(stderr, "FAIL: %s speedup %.2fx < %.1fx over scalar\n",
-                   KernelName(simd), kernel_ratio, kMinKernelRatio);
-      ++failures;
-    }
+    result.Check(n_simd == n_scalar, "SIMD result size == scalar");
+    result.Check(kernel_ratio >= kMinKernelRatio,
+                 "SIMD kernel >= " + Num(kMinKernelRatio) + "x scalar");
   }
-  std::printf("kernel: %s n=%zu common=%zu scalar=%.4fs simd=%.4fs "
-              "ratio=%.2fx\n",
-              KernelName(simd), set_size, n_scalar, scalar_s, simd_s,
-              kernel_ratio);
+  result.Add("set_size", set_size, "count");
+  result.Add("scalar_s", scalar_s, "s");
+  result.Add("simd_s", simd_s, "s");
+  result.Add("kernel_ratio", kernel_ratio, "x");
 
   // ---- Gate 1b: the dense similar-size shape, where block-compare
   // merging only ties scalar (one probe retired per compare). Both
@@ -220,23 +216,15 @@ int Run() {
     }
     dense_ratio = dense_auto_s > 0 ? dense_scalar_s / dense_auto_s
                                    : kMinDenseRatio * 10;
-    if (n_dense_auto != n_dense_scalar) {
-      std::fprintf(stderr, "FAIL: dense result size %zu != scalar %zu\n",
-                   n_dense_auto, n_dense_scalar);
-      ++failures;
-    }
-    if (dense_ratio < kMinDenseRatio) {
-      std::fprintf(stderr,
-                   "FAIL: dense all-pairs speedup %.2fx < %.1fx over "
-                   "scalar\n",
-                   dense_ratio, kMinDenseRatio);
-      ++failures;
-    }
+    result.Check(n_dense_auto == n_dense_scalar,
+                 "dense result size == scalar");
+    result.Check(dense_ratio >= kMinDenseRatio,
+                 "dense all-pairs kernel >= " + Num(kMinDenseRatio) +
+                     "x scalar");
   }
-  std::printf("dense: n=%zu common=%zu scalar=%.4fs dispatched=%.4fs "
-              "ratio=%.2fx\n",
-              dense_size, n_dense_scalar, dense_scalar_s, dense_auto_s,
-              dense_ratio);
+  result.Add("dense_scalar_s", dense_scalar_s, "s");
+  result.Add("dense_dispatched_s", dense_auto_s, "s");
+  result.Add("dense_ratio", dense_ratio, "x");
 
   // ---- Gate 2: join allocation count is workload-independent.
   Rng graph_rng(7);
@@ -262,27 +250,11 @@ int Run() {
   RunTriangle(s_ab, s_bc, s_ac);  // warm-up: malloc arenas, page in
   const JoinRun small_run = RunTriangle(s_ab, s_bc, s_ac);
   const JoinRun big_run = RunTriangle(b_ab, b_bc, b_ac);
-  std::printf("allocs: small(%llu edges)=%llu big(%llu edges)=%llu "
-              "triangles(small=%llu big=%llu)\n",
-              static_cast<unsigned long long>(small_g.size()),
-              static_cast<unsigned long long>(small_run.allocs),
-              static_cast<unsigned long long>(big_g.size()),
-              static_cast<unsigned long long>(big_run.allocs),
-              static_cast<unsigned long long>(small_run.count),
-              static_cast<unsigned long long>(big_run.count));
-  if (small_run.allocs != big_run.allocs) {
-    std::fprintf(stderr,
-                 "FAIL: join allocation count scales with data "
-                 "(%llu vs %llu on 10x edges)\n",
-                 static_cast<unsigned long long>(small_run.allocs),
-                 static_cast<unsigned long long>(big_run.allocs));
-    ++failures;
-  }
-  if (big_run.allocs > 64) {
-    std::fprintf(stderr, "FAIL: join performed %llu allocations (want <=64)\n",
-                 static_cast<unsigned long long>(big_run.allocs));
-    ++failures;
-  }
+  result.Add("join_allocs_small", small_run.allocs, "count");
+  result.Add("join_allocs_big", big_run.allocs, "count");
+  result.Check(small_run.allocs == big_run.allocs,
+               "join allocation count independent of data size (10x edges)");
+  result.Check(big_run.allocs <= 64, "join performs <= 64 allocations");
 
   // ---- Gate 3: dispatched warm join no slower than forced scalar.
   auto best_of = [&](int n) {
@@ -300,50 +272,16 @@ int Run() {
   const double e2e_ratio = scalar_join.seconds > 0
                                ? auto_join.seconds / scalar_join.seconds
                                : 1.0;
-  std::printf("e2e: scalar=%.4fs dispatched=%.4fs ratio=%.2f "
-              "(gate <= %.2f)\n",
-              scalar_join.seconds, auto_join.seconds, e2e_ratio,
-              kMaxE2eRatio);
-  if (auto_join.count != scalar_join.count) {
-    std::fprintf(stderr, "FAIL: dispatched count %llu != scalar %llu\n",
-                 static_cast<unsigned long long>(auto_join.count),
-                 static_cast<unsigned long long>(scalar_join.count));
-    ++failures;
+  result.Add("e2e_scalar_s", scalar_join.seconds, "s");
+  result.Add("e2e_dispatched_s", auto_join.seconds, "s");
+  result.Add("e2e_ratio", e2e_ratio, "x");
+  result.Check(auto_join.count == scalar_join.count,
+               "dispatched join count == scalar");
+  if (have_simd) {
+    result.Check(e2e_ratio <= kMaxE2eRatio,
+                 "dispatched join <= " + Num(kMaxE2eRatio) + "x scalar");
   }
-  if (have_simd && e2e_ratio > kMaxE2eRatio) {
-    std::fprintf(stderr, "FAIL: dispatched join %.2fx of scalar (> %.2f)\n",
-                 e2e_ratio, kMaxE2eRatio);
-    ++failures;
-  }
-
-  FILE* json = std::fopen("BENCH_intersect.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json,
-                 "{\n"
-                 "  \"bench\": \"intersect\",\n"
-                 "  \"scale\": %.4f,\n"
-                 "  \"kernel\": \"%s\",\n"
-                 "  \"set_size\": %zu,\n"
-                 "  \"scalar_seconds\": %.6f,\n"
-                 "  \"simd_seconds\": %.6f,\n"
-                 "  \"kernel_ratio\": %.2f,\n"
-                 "  \"dense_scalar_seconds\": %.6f,\n"
-                 "  \"dense_dispatched_seconds\": %.6f,\n"
-                 "  \"dense_ratio\": %.2f,\n"
-                 "  \"join_allocs_small\": %llu,\n"
-                 "  \"join_allocs_big\": %llu,\n"
-                 "  \"e2e_scalar_seconds\": %.6f,\n"
-                 "  \"e2e_dispatched_seconds\": %.6f,\n"
-                 "  \"e2e_ratio\": %.3f\n"
-                 "}\n",
-                 scale, KernelName(simd), set_size, scalar_s, simd_s,
-                 kernel_ratio, dense_scalar_s, dense_auto_s, dense_ratio,
-                 static_cast<unsigned long long>(small_run.allocs),
-                 static_cast<unsigned long long>(big_run.allocs),
-                 scalar_join.seconds, auto_join.seconds, e2e_ratio);
-    std::fclose(json);
-  }
-  return failures == 0 ? 0 : 1;
+  return FinishGates("intersect", result);
 }
 
 }  // namespace

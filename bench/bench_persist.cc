@@ -20,8 +20,8 @@
 // compressed trie levels load with zero re-encode and zero builds
 // (the index cache compresses tries by default).
 //
-// Emits BENCH_persist.json so the restart-latency trajectory is
-// recorded per run. Scale knobs: ADJ_BENCH_SCALE (bench_util.h).
+// Records its numbers in BENCH_persist.json (FinishGates,
+// bench_util.h). Scale knobs: ADJ_BENCH_SCALE (bench_util.h).
 #include <cstdio>
 #include <string>
 
@@ -111,101 +111,42 @@ int Run() {
   ADJ_CHECK(warm.ok()) << warm.status();
 
   const double speedup = open_s > 0 ? cold_s / open_s : kMinSpeedup * 10;
-  std::printf(
-      "persist smoke: out=%llu cold(load=%.4fs prepare=%.4fs)=%.4fs "
-      "open=%.4fs speedup=%.1fx warm(prepare=%.4fs builds=%llu) "
-      "run(builds=%llu mmap=%llu)\n",
-      static_cast<unsigned long long>(warm.count()), cold_load_s,
-      cold_prepare_s, cold_s, open_s, speedup, warm_prepare_s,
-      static_cast<unsigned long long>(prepare_builds),
-      static_cast<unsigned long long>(warm.index_builds()),
-      static_cast<unsigned long long>(warm.index_mmap_loaded()));
   const double size_ratio =
       catalog_bytes > 0 ? static_cast<double>(file_bytes) /
                               static_cast<double>(catalog_bytes)
                         : 0.0;
-  std::printf(
-      "snapshot size: %llu bytes = %.2fx catalog %llu bytes "
-      "(%llu compressed levels)\n",
-      static_cast<unsigned long long>(file_bytes), size_ratio,
-      static_cast<unsigned long long>(catalog_bytes),
-      static_cast<unsigned long long>(compressed_levels));
 
-  FILE* json = std::fopen("BENCH_persist.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json,
-                 "{\n"
-                 "  \"bench\": \"persist\",\n"
-                 "  \"query\": \"%s\",\n"
-                 "  \"dataset\": \"WB\",\n"
-                 "  \"scale\": %.4f,\n"
-                 "  \"output_count\": %llu,\n"
-                 "  \"cold_load_seconds\": %.6f,\n"
-                 "  \"cold_prepare_seconds\": %.6f,\n"
-                 "  \"open_seconds\": %.6f,\n"
-                 "  \"speedup\": %.2f,\n"
-                 "  \"warm_prepare_seconds\": %.6f,\n"
-                 "  \"warm_prepare_builds\": %llu,\n"
-                 "  \"warm_run_index_builds\": %llu,\n"
-                 "  \"warm_run_index_mmap\": %llu,\n"
-                 "  \"file_bytes\": %llu,\n"
-                 "  \"catalog_bytes\": %llu,\n"
-                 "  \"compressed_levels\": %llu\n"
-                 "}\n",
-                 kQuery, scale,
-                 static_cast<unsigned long long>(warm.count()), cold_load_s,
-                 cold_prepare_s, open_s, speedup, warm_prepare_s,
-                 static_cast<unsigned long long>(prepare_builds),
-                 static_cast<unsigned long long>(warm.index_builds()),
-                 static_cast<unsigned long long>(warm.index_mmap_loaded()),
-                 static_cast<unsigned long long>(file_bytes),
-                 static_cast<unsigned long long>(catalog_bytes),
-                 static_cast<unsigned long long>(compressed_levels));
-    std::fclose(json);
-  }
-
-  int failures = 0;
-  if (speedup < kMinSpeedup) {
-    std::fprintf(stderr, "FAIL: warm open speedup %.1fx < %.1fx\n", speedup,
-                 kMinSpeedup);
-    ++failures;
-  }
-  if (prepare_builds != 0) {
-    std::fprintf(stderr, "FAIL: warm prepare built %llu indexes (want 0)\n",
-                 static_cast<unsigned long long>(prepare_builds));
-    ++failures;
-  }
-  if (warm.index_builds() != 0) {
-    std::fprintf(stderr, "FAIL: warm run built %llu indexes (want 0)\n",
-                 static_cast<unsigned long long>(warm.index_builds()));
-    ++failures;
-  }
-  if (warm.index_mmap_loaded() == 0) {
-    std::fprintf(stderr, "FAIL: warm run reported no mmap-loaded indexes\n");
-    ++failures;
-  }
-  if (warm.count() != cold.count()) {
-    std::fprintf(stderr, "FAIL: warm count %llu != cold count %llu\n",
-                 static_cast<unsigned long long>(warm.count()),
-                 static_cast<unsigned long long>(cold.count()));
-    ++failures;
-  }
-  if (size_ratio > kMaxSizeRatio) {
-    std::fprintf(stderr,
-                 "FAIL: snapshot %llu bytes is %.2fx the catalog's %llu "
-                 "(want <= %.1fx: each trie level stored once)\n",
-                 static_cast<unsigned long long>(file_bytes), size_ratio,
-                 static_cast<unsigned long long>(catalog_bytes),
-                 kMaxSizeRatio);
-    ++failures;
-  }
-  if (compressed_levels == 0) {
-    std::fprintf(stderr, "FAIL: snapshot stored no compressed trie level\n");
-    ++failures;
-  }
+  std::printf("persist: dataset=WB query=\"%s\"\n", kQuery);
+  GateResult result;
+  result.Add("scale", scale, "x");
+  result.Add("output_count", warm.count(), "count");
+  result.Add("cold_load_s", cold_load_s, "s");
+  result.Add("cold_prepare_s", cold_prepare_s, "s");
+  result.Add("open_s", open_s, "s");
+  result.Add("speedup", speedup, "x");
+  result.Add("warm_prepare_s", warm_prepare_s, "s");
+  result.Add("warm_prepare_builds", prepare_builds, "count");
+  result.Add("warm_run_index_builds", warm.index_builds(), "count");
+  result.Add("warm_run_index_mmap", warm.index_mmap_loaded(), "count");
+  result.Add("file_bytes", file_bytes, "B");
+  result.Add("catalog_bytes", catalog_bytes, "B");
+  result.Add("size_ratio", size_ratio, "x");
+  result.Add("compressed_levels", compressed_levels, "count");
+  result.Check(speedup >= kMinSpeedup,
+               "warm open speedup >= " + Num(kMinSpeedup) + "x cold rebuild");
+  result.Check(prepare_builds == 0, "warm prepare builds 0 indexes");
+  result.Check(warm.index_builds() == 0, "warm run builds 0 indexes");
+  result.Check(warm.index_mmap_loaded() > 0,
+               "warm run reports mmap-loaded indexes");
+  result.Check(warm.count() == cold.count(), "warm count == cold count");
+  result.Check(size_ratio <= kMaxSizeRatio,
+               "snapshot <= " + Num(kMaxSizeRatio) +
+                   "x the catalog's bytes (each trie level stored once)");
+  result.Check(compressed_levels > 0,
+               "snapshot stores a compressed trie level");
   std::remove(edges_path.c_str());
   std::remove(snap_path.c_str());
-  return failures == 0 ? 0 : 1;
+  return FinishGates("persist", result);
 }
 
 }  // namespace

@@ -22,8 +22,8 @@
 //      counts per template are identical across repetitions (no
 //      writes happen in the solo phase).
 //
-// Emits BENCH_serve_load.json (CI uploads it) so the serving-latency
-// trajectory is recorded per run. Scale knobs: ADJ_BENCH_SCALE.
+// Records its numbers in BENCH_serve_load.json (FinishGates,
+// bench_util.h). Scale knobs: ADJ_BENCH_SCALE.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -97,7 +97,7 @@ void RecordResult(const api::Result& r, double seconds, ClientTally* tally) {
   } else if (r.status().code() == StatusCode::kResourceExhausted) {
     ++tally->rejected;
   } else {
-    std::fprintf(stderr, "FAIL: unexpected request error: %s\n",
+    std::fprintf(stderr, "unexpected request error: %s\n",
                  r.status().ToString().c_str());
     ++tally->other_errors;
   }
@@ -105,15 +105,14 @@ void RecordResult(const api::Result& r, double seconds, ClientTally* tally) {
 
 int Run() {
   const double scale = ScaleFromEnv(0.2);
-  PrintHeader("serve load: QoS under closed-loop mixed load (WB scale " +
-              Num(scale) + ")");
-  int failures = 0;
+  std::printf("serve_load: dataset=WB\n");
+  GateResult result;
+  result.Add("scale", scale, "x");
 
   // -------------------------------------------------------------------
   // Phase 1 — single-flight gate: 16 threads, one cold key, fresh
   // server. Exactly one Prepare may run.
   // -------------------------------------------------------------------
-  uint64_t cold_builds = 0, cold_waits = 0;
   {
     StatusOr<api::Database> opened = api::Database::OpenBuiltin("WB", scale);
     ADJ_CHECK(opened.ok()) << opened.status();
@@ -135,35 +134,18 @@ int Run() {
     for (std::thread& t : clients) t.join();
 
     serve::ServerStats stats = server.stats();
-    cold_builds = stats.plan_builds;
-    cold_waits = stats.plan_waits;
-    std::printf("cold fan-in: %d clients -> plan_builds=%llu plan_waits=%llu "
-                "cache_hits=%llu errors=%d\n",
-                kColdClients, static_cast<unsigned long long>(cold_builds),
-                static_cast<unsigned long long>(cold_waits),
-                static_cast<unsigned long long>(stats.cache.hits),
-                errors.load());
-    if (errors.load() != 0) {
-      std::fprintf(stderr, "FAIL: %d of %d cold-miss requests errored\n",
-                   errors.load(), kColdClients);
-      ++failures;
-    }
-    if (cold_builds != 1) {
-      std::fprintf(stderr,
-                   "FAIL: single-flight: %llu plan builds for %d concurrent "
-                   "cold misses of one key (want exactly 1)\n",
-                   static_cast<unsigned long long>(cold_builds), kColdClients);
-      ++failures;
-    }
-    for (int t = 1; t < kColdClients; ++t) {
-      if (counts[size_t(t)] != counts[0]) {
-        std::fprintf(stderr, "FAIL: cold client %d count %llu != %llu\n", t,
-                     static_cast<unsigned long long>(counts[size_t(t)]),
-                     static_cast<unsigned long long>(counts[0]));
-        ++failures;
-        break;
-      }
-    }
+    result.Add("cold_clients", kColdClients, "count");
+    result.Add("cold_plan_builds", stats.plan_builds, "count");
+    result.Add("cold_plan_waits", stats.plan_waits, "count");
+    result.Add("cold_cache_hits", stats.cache.hits, "count");
+    result.Add("cold_errors", errors.load(), "count");
+    result.Check(errors.load() == 0, "every cold-miss request succeeds");
+    result.Check(stats.plan_builds == 1,
+                 "single-flight: concurrent cold misses of one key cost "
+                 "exactly 1 plan build");
+    result.Check(std::all_of(counts.begin(), counts.end(),
+                             [&](uint64_t c) { return c == counts[0]; }),
+                 "every cold client gets the same count");
   }
 
   // -------------------------------------------------------------------
@@ -195,17 +177,11 @@ int Run() {
         }
       }
     }
-    const double solo_wall = phase.Seconds();
-    std::printf("solo: %llu ops in %.3fs (%.1f qps)\n",
-                static_cast<unsigned long long>(solo.ok), solo_wall,
-                double(solo.ok) / solo_wall);
+    result.Add("solo_throughput_qps", double(solo.ok) / phase.Seconds(),
+               "1/s");
   }
-  if (!solo_counts_stable) {
-    std::fprintf(stderr,
-                 "FAIL: solo counts drifted across repetitions with no "
-                 "writes applied\n");
-    ++failures;
-  }
+  result.Check(solo_counts_stable,
+               "solo counts are stable across repetitions (no writes)");
   const double solo_p50 = Percentile(solo.latencies, 0.50);
   const double solo_p95 = Percentile(solo.latencies, 0.95);
   const double solo_p99 = Percentile(solo.latencies, 0.99);
@@ -307,109 +283,50 @@ int Run() {
   const double p99_gate = kMaxP99Multiple * std::max(solo_p99, kSoloFloor);
 
   serve::ServerStats stats = server.stats();
-  std::printf("solo : p50=%.4fs p95=%.4fs p99=%.4fs (%llu ops)\n", solo_p50,
-              solo_p95, solo_p99, static_cast<unsigned long long>(solo.ok));
-  std::printf("mixed: p50=%.4fs p95=%.4fs p99=%.4fs (%llu ops, %.1f qps, "
-              "reject=%.1f%% deadline=%.1f%%)\n",
-              mixed_p50, mixed_p95, mixed_p99,
-              static_cast<unsigned long long>(mixed.ok), mixed_qps,
-              100 * reject_rate, 100 * deadline_rate);
-  std::printf("mixed: batch_ok=%llu background_ok=%llu writes=%llu "
-              "reprepared=%llu plan_builds=%llu expired(queue=%llu "
-              "planning=%llu)\n",
-              static_cast<unsigned long long>(batch_ok),
-              static_cast<unsigned long long>(background_ok),
-              static_cast<unsigned long long>(stats.writes_applied),
-              static_cast<unsigned long long>(stats.reprepared),
-              static_cast<unsigned long long>(stats.plan_builds),
-              static_cast<unsigned long long>(stats.expired_in_queue),
-              static_cast<unsigned long long>(stats.expired_planning));
+  result.Add("solo_p50_s", solo_p50, "s");
+  result.Add("solo_p95_s", solo_p95, "s");
+  result.Add("solo_p99_s", solo_p99, "s");
+  result.Add("mixed_p50_s", mixed_p50, "s");
+  result.Add("mixed_p95_s", mixed_p95, "s");
+  result.Add("mixed_p99_s", mixed_p99, "s");
+  result.Add("mixed_p99_gate_s", p99_gate, "s");
+  result.Add("mixed_throughput_qps", mixed_qps, "1/s");
+  result.Add("mixed_interactive_ok", mixed.ok, "count");
+  result.Add("mixed_reject_rate", reject_rate, "ratio");
+  result.Add("mixed_deadline_rate", deadline_rate, "ratio");
+  result.Add("interactive_errors", mixed.other_errors, "count");
+  result.Add("batch_ok", batch_ok, "count");
+  result.Add("batch_errors", batch_errors, "count");
+  result.Add("background_ok", background_ok, "count");
+  result.Add("writer_failures", writer_failures.load(), "count");
+  result.Add("writes_applied", stats.writes_applied, "count");
+  result.Add("reprepared", stats.reprepared, "count");
+  result.Add("plan_builds", stats.plan_builds, "count");
+  result.Add("expired_in_queue", stats.expired_in_queue, "count");
+  result.Add("expired_planning", stats.expired_planning, "count");
   for (const serve::LaneStats& lane : stats.lanes) {
-    std::printf("lane %-12s accepted=%llu rejected=%llu served=%llu "
-                "failed=%llu\n",
-                lane.name.c_str(),
-                static_cast<unsigned long long>(lane.accepted),
-                static_cast<unsigned long long>(lane.rejected),
-                static_cast<unsigned long long>(lane.served),
-                static_cast<unsigned long long>(lane.failed));
+    const std::string prefix = "lane_" + lane.name + "_";
+    result.Add(prefix + "accepted", lane.accepted, "count");
+    result.Add(prefix + "rejected", lane.rejected, "count");
+    result.Add(prefix + "served", lane.served, "count");
+    result.Add(prefix + "failed", lane.failed, "count");
   }
 
   // Gate 2: mixed p99 within the fixed multiple of the solo baseline.
-  if (mixed_p99 > p99_gate) {
-    std::fprintf(stderr,
-                 "FAIL: mixed-load p99 %.4fs > %.1fx solo p99 gate %.4fs\n",
-                 mixed_p99, kMaxP99Multiple, p99_gate);
-    ++failures;
-  }
+  result.Check(mixed_p99 <= p99_gate,
+               "mixed-load p99 <= " + Num(kMaxP99Multiple) +
+                   "x max(solo p99, " + Num(kSoloFloor) + "s)");
   // Gate 3: nothing outside the QoS contract, and the mix completed.
-  if (mixed.other_errors != 0 || batch_errors != 0 ||
-      writer_failures.load() != 0) {
-    std::fprintf(stderr,
-                 "FAIL: contract violations: interactive=%llu batch=%llu "
-                 "writer=%d\n",
-                 static_cast<unsigned long long>(mixed.other_errors),
-                 static_cast<unsigned long long>(batch_errors),
-                 writer_failures.load());
-    ++failures;
-  }
-  if (mixed.ok == 0 || background_ok == 0) {
-    std::fprintf(stderr,
-                 "FAIL: starved: interactive_ok=%llu background_ok=%llu — "
-                 "every lane must make progress under mixed load\n",
-                 static_cast<unsigned long long>(mixed.ok),
-                 static_cast<unsigned long long>(background_ok));
-    ++failures;
-  }
-  if (stats.writes_applied != uint64_t(kWriteBatches)) {
-    std::fprintf(stderr, "FAIL: %llu of %d live writes applied\n",
-                 static_cast<unsigned long long>(stats.writes_applied),
-                 kWriteBatches);
-    ++failures;
-  }
-
-  FILE* json = std::fopen("BENCH_serve_load.json", "w");
-  if (json != nullptr) {
-    std::fprintf(
-        json,
-        "{\n"
-        "  \"bench\": \"serve_load\",\n"
-        "  \"dataset\": \"WB\",\n"
-        "  \"scale\": %.4f,\n"
-        "  \"cold_clients\": %d,\n"
-        "  \"cold_plan_builds\": %llu,\n"
-        "  \"cold_plan_waits\": %llu,\n"
-        "  \"solo_p50_seconds\": %.6f,\n"
-        "  \"solo_p95_seconds\": %.6f,\n"
-        "  \"solo_p99_seconds\": %.6f,\n"
-        "  \"mixed_p50_seconds\": %.6f,\n"
-        "  \"mixed_p95_seconds\": %.6f,\n"
-        "  \"mixed_p99_seconds\": %.6f,\n"
-        "  \"mixed_p99_gate_seconds\": %.6f,\n"
-        "  \"mixed_throughput_qps\": %.2f,\n"
-        "  \"mixed_interactive_ok\": %llu,\n"
-        "  \"mixed_reject_rate\": %.4f,\n"
-        "  \"mixed_deadline_rate\": %.4f,\n"
-        "  \"batch_ok\": %llu,\n"
-        "  \"background_ok\": %llu,\n"
-        "  \"writes_applied\": %llu,\n"
-        "  \"reprepared\": %llu,\n"
-        "  \"expired_in_queue\": %llu,\n"
-        "  \"expired_planning\": %llu\n"
-        "}\n",
-        scale, kColdClients, static_cast<unsigned long long>(cold_builds),
-        static_cast<unsigned long long>(cold_waits), solo_p50, solo_p95,
-        solo_p99, mixed_p50, mixed_p95, mixed_p99, p99_gate, mixed_qps,
-        static_cast<unsigned long long>(mixed.ok), reject_rate, deadline_rate,
-        static_cast<unsigned long long>(batch_ok),
-        static_cast<unsigned long long>(background_ok),
-        static_cast<unsigned long long>(stats.writes_applied),
-        static_cast<unsigned long long>(stats.reprepared),
-        static_cast<unsigned long long>(stats.expired_in_queue),
-        static_cast<unsigned long long>(stats.expired_planning));
-    std::fclose(json);
-  }
-
-  return failures == 0 ? 0 : 1;
+  result.Check(mixed.other_errors == 0 && batch_errors == 0 &&
+                   writer_failures.load() == 0,
+               "no interactive, batch or writer error outside the QoS "
+               "contract");
+  result.Check(mixed.ok > 0 && background_ok > 0,
+               "interactive and background lanes both make progress under "
+               "mixed load");
+  result.Check(stats.writes_applied == uint64_t(kWriteBatches),
+               "every live write is applied");
+  return FinishGates("serve_load", result);
 }
 
 }  // namespace

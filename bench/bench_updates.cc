@@ -19,8 +19,8 @@
 //      zero indexes: the plan stays fresh and the rerun does zero
 //      builds and zero delta-row merges.
 //
-// Emits BENCH_updates.json so the write-path latency trajectory is
-// recorded per run. Scale knobs: ADJ_BENCH_SCALE (bench_util.h).
+// Records its numbers in BENCH_updates.json (FinishGates,
+// bench_util.h). Scale knobs: ADJ_BENCH_SCALE (bench_util.h).
 #include <algorithm>
 #include <cstdio>
 
@@ -66,7 +66,8 @@ int Run() {
   // relation identity, which registers as a cache entry but does no
   // index work and is deliberately kept out of the report counter.)
   double delta_s = 1e30;
-  uint64_t delta_count = 0, delta_patched = 0, delta_rows = 0;
+  uint64_t delta_count = 0, delta_builds = 0, delta_patched = 0,
+           delta_rows = 0;
   for (int round = 0; round < kRounds; ++round) {
     const Value v = kProbeBase + Value(2 * round);
     storage::WriteBatch point;
@@ -82,11 +83,7 @@ int Run() {
     api::Result r = refreshed->Run();
     ADJ_CHECK(r.ok()) << r.status();
     prepared = std::move(refreshed);
-    if (r.index_builds() != 0) {
-      std::fprintf(stderr, "FAIL: delta rerun built %llu indexes (want 0)\n",
-                   static_cast<unsigned long long>(r.index_builds()));
-      return 1;
-    }
+    delta_builds = std::max(delta_builds, r.index_builds());
     delta_count = r.count();
     delta_patched = r.index_patched();
     delta_rows = r.delta_rows_merged();
@@ -137,80 +134,32 @@ int Run() {
       db.catalog().index_cache().stats().delta_rows_merged - merged_before;
 
   const double speedup = delta_s > 0 ? full_s / delta_s : kMinSpeedup * 10;
-  std::printf(
-      "updates smoke: out=%llu delta=%.4fs (patched=%llu rows=%llu) "
-      "full=%.4fs (builds=%llu) speedup=%.1fx "
-      "bystander(fresh=%d builds=%llu merges=%llu)\n",
-      static_cast<unsigned long long>(delta_count), delta_s,
-      static_cast<unsigned long long>(delta_patched),
-      static_cast<unsigned long long>(delta_rows), full_s,
-      static_cast<unsigned long long>(full_builds), speedup,
-      int(still_fresh), static_cast<unsigned long long>(untouched_builds),
-      static_cast<unsigned long long>(untouched_merges));
 
-  FILE* json = std::fopen("BENCH_updates.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json,
-                 "{\n"
-                 "  \"bench\": \"updates\",\n"
-                 "  \"query\": \"%s\",\n"
-                 "  \"dataset\": \"WB\",\n"
-                 "  \"scale\": %.4f,\n"
-                 "  \"output_count\": %llu,\n"
-                 "  \"delta_refresh_seconds\": %.6f,\n"
-                 "  \"full_refresh_seconds\": %.6f,\n"
-                 "  \"speedup\": %.2f,\n"
-                 "  \"delta_run_index_patched\": %llu,\n"
-                 "  \"delta_run_rows_merged\": %llu,\n"
-                 "  \"full_run_index_builds\": %llu,\n"
-                 "  \"bystander_write_index_builds\": %llu,\n"
-                 "  \"bystander_write_rows_merged\": %llu\n"
-                 "}\n",
-                 kQuery, scale, static_cast<unsigned long long>(delta_count),
-                 delta_s, full_s, speedup,
-                 static_cast<unsigned long long>(delta_patched),
-                 static_cast<unsigned long long>(delta_rows),
-                 static_cast<unsigned long long>(full_builds),
-                 static_cast<unsigned long long>(untouched_builds),
-                 static_cast<unsigned long long>(untouched_merges));
-    std::fclose(json);
-  }
-
-  int failures = 0;
-  if (speedup < kMinSpeedup) {
-    std::fprintf(stderr, "FAIL: delta refresh speedup %.1fx < %.1fx\n",
-                 speedup, kMinSpeedup);
-    ++failures;
-  }
-  if (delta_patched == 0) {
-    std::fprintf(stderr, "FAIL: delta rerun reported no patched bindings\n");
-    ++failures;
-  }
-  if (full_builds == 0) {
-    std::fprintf(stderr,
-                 "FAIL: full-invalidate refresh rebuilt nothing — the "
-                 "baseline is not measuring rebuild cost\n");
-    ++failures;
-  }
-  if (full_count != delta_count) {
-    std::fprintf(stderr, "FAIL: full count %llu != delta count %llu\n",
-                 static_cast<unsigned long long>(full_count),
-                 static_cast<unsigned long long>(delta_count));
-    ++failures;
-  }
-  if (!still_fresh) {
-    std::fprintf(stderr, "FAIL: write to H staled the plan over G\n");
-    ++failures;
-  }
-  if (untouched_builds != 0 || untouched_merges != 0) {
-    std::fprintf(stderr,
-                 "FAIL: write to H cost the G rerun %llu builds, "
-                 "%llu merged rows (want 0/0)\n",
-                 static_cast<unsigned long long>(untouched_builds),
-                 static_cast<unsigned long long>(untouched_merges));
-    ++failures;
-  }
-  return failures == 0 ? 0 : 1;
+  std::printf("updates: dataset=WB query=\"%s\"\n", kQuery);
+  GateResult result;
+  result.Add("scale", scale, "x");
+  result.Add("output_count", delta_count, "count");
+  result.Add("delta_refresh_s", delta_s, "s");
+  result.Add("full_refresh_s", full_s, "s");
+  result.Add("speedup", speedup, "x");
+  result.Add("delta_run_index_builds", delta_builds, "count");
+  result.Add("delta_run_index_patched", delta_patched, "count");
+  result.Add("delta_run_rows_merged", delta_rows, "count");
+  result.Add("full_run_index_builds", full_builds, "count");
+  result.Add("bystander_write_index_builds", untouched_builds, "count");
+  result.Add("bystander_write_rows_merged", untouched_merges, "count");
+  result.Check(speedup >= kMinSpeedup,
+               "delta refresh speedup >= " + Num(kMinSpeedup) + "x full");
+  result.Check(delta_builds == 0, "every delta rerun builds 0 indexes");
+  result.Check(delta_patched > 0, "delta rerun reports patched bindings");
+  result.Check(full_builds > 0,
+               "full-invalidate refresh rebuilds indexes (the baseline "
+               "measures rebuild cost)");
+  result.Check(full_count == delta_count, "full count == delta count");
+  result.Check(still_fresh, "a write to H leaves the plan over G fresh");
+  result.Check(untouched_builds == 0 && untouched_merges == 0,
+               "a write to H costs the G rerun 0 builds, 0 merged rows");
+  return FinishGates("updates", result);
 }
 
 }  // namespace

@@ -3,11 +3,13 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "api/api.h"
+#include "benchmark/bench.h"
 #include "common/logging.h"
 #include "core/engine.h"
 #include "dataset/builtin.h"
@@ -94,6 +96,42 @@ inline std::string Num(double v) {
     std::snprintf(buf, sizeof(buf), "%.3f", v);
   }
   return buf;
+}
+
+/// One Release gate's record: the end-to-end benchmark's RunResult,
+/// with `attempted`/`failed` counting the checks run and failed.
+struct GateResult : benchmark::RunResult {
+  void Check(bool ok, const std::string& what) {
+    ++attempted;
+    if (!ok) ++failed;
+    benchmark::RunResult::Check(ok, what);
+  }
+};
+
+/// Ends a gate: prints every metric as `name value unit` and a
+/// `FAIL: <what>` line per failed check, writes BENCH_<bench>.json in
+/// the schema adj_bench prints (but keeping the metrics when a check
+/// failed, so a red run still shows its numbers), and returns the exit
+/// code.
+inline int FinishGates(const std::string& bench,
+                       const benchmark::RunResult& result) {
+  std::ofstream json("BENCH_" + bench + ".json");
+  json.precision(17);
+  json << "{\"correct\": " << (result.correct ? "true" : "false")
+       << ", \"attempted\": " << result.attempted
+       << ", \"failed\": " << result.failed << ", \"metrics\": {";
+  for (size_t i = 0; i < result.metrics.size(); ++i) {
+    const benchmark::Metric& m = result.metrics[i];
+    std::printf("%s %.10g %s\n", m.name.c_str(), m.value, m.unit.c_str());
+    json << (i > 0 ? ", " : "") << '"' << m.name << "\": {\"value\": "
+         << m.value << ", \"unit\": \"" << m.unit << "\"}";
+  }
+  json << "}}\n";
+  std::fflush(stdout);  // the metrics print before the FAIL lines
+  for (const std::string& what : result.errors) {
+    std::fprintf(stderr, "FAIL: %s\n", what.c_str());
+  }
+  return result.correct ? 0 : 1;
 }
 
 }  // namespace adj::bench

@@ -197,6 +197,7 @@ StatusOr<query::AttributeOrder> Engine::SelectCommFirstOrder(
 
 StatusOr<PlanResult> Engine::Plan(const query::Query& q,
                                   const EngineOptions& options) {
+  ADJ_RETURN_IF_ERROR(ValidateOptions(options));
   WallTimer timer;
   PlanResult result;
 
@@ -502,6 +503,7 @@ StatusOr<exec::RunReport> Engine::Run(const query::Query& q, Strategy s,
 StatusOr<exec::RunReport> Engine::Run(const query::Query& q,
                                       const std::string& strategy,
                                       const EngineOptions& options) {
+  ADJ_RETURN_IF_ERROR(ValidateOptions(options));
   StatusOr<StrategyFn> fn = StrategyRegistry::Global().Find(strategy);
   if (!fn.ok()) return fn.status();
   return (*fn)(*this, q, options);

@@ -25,6 +25,15 @@ StatusOr<Strategy> StrategyFromName(const std::string& name) {
   return Status::InvalidArgument("unknown strategy: " + name);
 }
 
+Status ValidateOptions(const EngineOptions& options) {
+  if (options.cluster.num_servers < 1) {
+    return Status::InvalidArgument(
+        "cluster.num_servers must be >= 1, got " +
+        std::to_string(options.cluster.num_servers));
+  }
+  return Status::OK();
+}
+
 const std::vector<Strategy>& AllStrategies() {
   static const std::vector<Strategy>* kAll = new std::vector<Strategy>{
       Strategy::kBinaryJoin, Strategy::kBigJoin, Strategy::kCommFirst,

@@ -65,6 +65,10 @@ struct EngineOptions {
   double beta_raw_override = 0.0;
 };
 
+/// InvalidArgument when `options` cannot describe a run (a server
+/// count below 1). Every entry point checks it before any work starts.
+Status ValidateOptions(const EngineOptions& options);
+
 }  // namespace adj::core
 
 #endif  // ADJ_CORE_OPTIONS_H_

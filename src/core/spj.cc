@@ -193,6 +193,7 @@ StatusOr<SpjResult> RunSpj(const storage::Catalog& db, const SpjQuery& spj,
 StatusOr<SpjResult> RunSpj(const storage::Catalog& db, const SpjQuery& spj,
                            const std::string& strategy,
                            const EngineOptions& options) {
+  ADJ_RETURN_IF_ERROR(ValidateOptions(options));
   // 0. Resolve the strategy up front so an unknown name errors the
   //    same way on the counting and the projecting path (and the
   //    counting path can invoke it without a second registry lookup).

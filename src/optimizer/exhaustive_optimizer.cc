@@ -1,3 +1,4 @@
+#include <cmath>
 #include <limits>
 
 #include "common/logging.h"
@@ -31,8 +32,11 @@ StatusOr<QueryPlan> OptimizeExhaustivePlan(const PlanningInputs& in) {
     }
     for (const std::vector<int>& traversal : traversals) {
       const PlanCost cost = EvaluatePlan(in, pre, traversal);
-      if (cost.total() < best_total) {
-        best_total = cost.total();
+      const double total = cost.total();
+      // The first pair stands when no cost is finite (every estimate
+      // unknown): whether that fails the request is the engine's call.
+      if (!found || total < best_total) {
+        if (!std::isnan(total)) best_total = total;
         best.decomp = d;
         best.precompute = pre;
         best.traversal = traversal;

@@ -112,6 +112,29 @@ TEST(SessionTest, UnknownStrategyIsError) {
   EXPECT_EQ(projected.status().code(), StatusCode::kNotFound);
 }
 
+TEST(SessionTest, NonPositiveServerCountIsInvalid) {
+  Database db = SmallDatabase(4);
+  auto q = query::Query::Parse(kTriangle);
+  ASSERT_TRUE(q.ok());
+  for (int servers : {0, -1}) {
+    Session session = FastSession(db);
+    session.options().cluster.num_servers = servers;
+    for (core::Strategy s : core::AllStrategies()) {
+      const std::string name = core::StrategyName(s);
+      // Counting and projecting text paths, and the Query overload.
+      for (const Result& r : {session.Run(kTriangle, name),
+                              session.Run("G(a,b) G(b,c) | | a", name),
+                              session.Run(*q, name)}) {
+        EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+            << name << " servers=" << servers << ": " << r.status();
+      }
+    }
+    StatusOr<PreparedQuery> prepared = session.Prepare(kTriangle);
+    EXPECT_EQ(prepared.status().code(), StatusCode::kInvalidArgument)
+        << "servers=" << servers;
+  }
+}
+
 TEST(SessionTest, SelectionAndProjectionRun) {
   Database db = SmallDatabase(5, 40, 250);
   Session session = FastSession(db);
