@@ -14,7 +14,9 @@
 //   2. the delta refresh + rerun builds zero indexes — every binding
 //      is served by delta-patching the pre-write artifacts
 //      (index_patched > 0), while the full refresh demonstrably pays
-//      rebuilds (cache build counter advances),
+//      rebuilds (cache build counter advances). Checked at one server,
+//      where shards alias the prepared index, and at the default four,
+//      where the HCube shards themselves must patch,
 //   3. a write to a relation the prepared query does not read touches
 //      zero indexes: the plan stays fresh and the rerun does zero
 //      builds and zero delta-row merges.
@@ -89,6 +91,29 @@ int Run() {
     delta_rows = r.delta_rows_merged();
   }
 
+  // Gate 2 at the default cluster size: four servers, so the rerun
+  // shuffles G into real HCube shards, which must patch forward from
+  // the pre-write shards rather than re-route and rebuild.
+  api::Session sharded = db.OpenSession();
+  StatusOr<api::PreparedQuery> sharded_pq = sharded.Prepare(kQuery);
+  ADJ_CHECK(sharded_pq.ok()) << sharded_pq.status();
+  api::Result sharded_warm = sharded_pq->Run();
+  ADJ_CHECK(sharded_warm.ok()) << sharded_warm.status();
+  uint64_t sharded_count = 0, sharded_builds = 0, sharded_patched = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    const Value v = kProbeBase + Value(2 * (kRounds + round));
+    Status applied = db.Apply(storage::WriteBatch().Insert("G", {v, v + 1}));
+    ADJ_CHECK(applied.ok()) << applied;
+    StatusOr<api::PreparedQuery> refreshed = sharded.Reprepare(*sharded_pq);
+    ADJ_CHECK(refreshed.ok()) << refreshed.status();
+    api::Result r = refreshed->Run();
+    ADJ_CHECK(r.ok()) << r.status();
+    sharded_pq = std::move(refreshed);
+    sharded_builds = std::max(sharded_builds, r.index_builds());
+    sharded_patched = r.index_patched();
+    sharded_count = r.count();
+  }
+
   // Full-invalidate path: replace G with a detached copy of its own
   // merged rows. Same content, new identity — every cached index and
   // the prepared plan go stale, and the refresh pays full rebuilds.
@@ -145,6 +170,8 @@ int Run() {
   result.Add("delta_run_index_builds", delta_builds, "count");
   result.Add("delta_run_index_patched", delta_patched, "count");
   result.Add("delta_run_rows_merged", delta_rows, "count");
+  result.Add("sharded_delta_run_index_builds", sharded_builds, "count");
+  result.Add("sharded_delta_run_index_patched", sharded_patched, "count");
   result.Add("full_run_index_builds", full_builds, "count");
   result.Add("bystander_write_index_builds", untouched_builds, "count");
   result.Add("bystander_write_rows_merged", untouched_merges, "count");
@@ -152,6 +179,12 @@ int Run() {
                "delta refresh speedup >= " + Num(kMinSpeedup) + "x full");
   result.Check(delta_builds == 0, "every delta rerun builds 0 indexes");
   result.Check(delta_patched > 0, "delta rerun reports patched bindings");
+  result.Check(sharded_builds == 0,
+               "every delta rerun at 4 servers builds 0 indexes");
+  result.Check(sharded_patched > 0,
+               "delta rerun at 4 servers reports patched bindings");
+  result.Check(sharded_count == delta_count,
+               "4-server count == 1-server count");
   result.Check(full_builds > 0,
                "full-invalidate refresh rebuilds indexes (the baseline "
                "measures rebuild cost)");

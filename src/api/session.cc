@@ -141,9 +141,10 @@ StatusOr<PreparedQuery> Session::Reprepare(const PreparedQuery& stale) const {
   }
   if (changed.empty()) return stale;  // still fresh — share everything
 
-  // Re-push selections, re-scanning only the written relations; the
-  // untouched atoms' filtered copies are aliased from the stale
-  // context so their cached indexes keep binding by identity.
+  // Re-push selections, filtering only the rows written since the
+  // stale versions; filtered copies no written row reaches are aliased
+  // from the stale context so their cached indexes keep binding by
+  // identity.
   const core::SpjQuery& spj = stale.spj_;
   std::shared_ptr<const storage::Catalog> db = db_;
   query::Query join = spj.join;
@@ -152,6 +153,7 @@ StatusOr<PreparedQuery> Session::Reprepare(const PreparedQuery& stale) const {
     core::PushDownReuse push_reuse;
     push_reuse.prev = stale.ctx_ != nullptr ? &stale.ctx_->db : nullptr;
     push_reuse.changed = &changed;
+    push_reuse.versions = &stale.dep_versions_;
     StatusOr<core::PushedDown> pushed =
         core::PushDownSelections(*db_, spj, &push_reuse);
     if (!pushed.ok()) return pushed.status();

@@ -105,6 +105,129 @@ StatusOr<SpjQuery> ParseSpj(const std::string& text) {
   return spj;
 }
 
+namespace {
+
+/// (column, constant) equalities one atom's rows must all satisfy.
+using Filters = std::vector<std::pair<int, Value>>;
+
+/// The rows of `rel` that pass `filters`, in order (so a sorted-unique
+/// input stays sorted-unique).
+storage::Relation FilterRows(const storage::Relation& rel,
+                             const Filters& filters) {
+  storage::Relation out(rel.schema());
+  for (uint64_t r = 0; r < rel.size(); ++r) {
+    std::span<const Value> row = rel.Row(r);
+    if (std::all_of(filters.begin(), filters.end(), [&](const auto& f) {
+          return row[size_t(f.first)] == f.second;
+        })) {
+      out.Append(row);
+    }
+  }
+  return out;
+}
+
+/// `rel` itself when sorted and duplicate-free, else a sorted copy.
+std::shared_ptr<const storage::Relation> Canonical(
+    std::shared_ptr<const storage::Relation> rel) {
+  if (rel->IsSortedUnique()) return rel;
+  storage::Relation sorted = *rel;
+  sorted.SortAndDedup();
+  return std::make_shared<const storage::Relation>(std::move(sorted));
+}
+
+/// The net delta taking sorted-unique `from` to sorted-unique `to`:
+/// one linear merge.
+storage::DeltaBatch DiffRows(const storage::Relation& from,
+                             const storage::Relation& to) {
+  storage::DeltaBatch delta;
+  delta.inserts = storage::Relation(to.schema());
+  delta.deletes = storage::Relation(from.schema());
+  uint64_t i = 0, j = 0;
+  while (i < from.size() || j < to.size()) {
+    int cmp;
+    if (i == from.size()) {
+      cmp = 1;
+    } else if (j == to.size()) {
+      cmp = -1;
+    } else {
+      cmp = storage::CompareRows(from.Row(i).data(), to.Row(j).data(),
+                                 from.arity());
+    }
+    if (cmp < 0) {
+      delta.deletes.Append(from.Row(i++));
+    } else if (cmp > 0) {
+      delta.inserts.Append(to.Row(j++));
+    } else {
+      ++i;
+      ++j;
+    }
+  }
+  return delta;
+}
+
+/// The filtered copy `name` of `base` under `filters` (see
+/// PushDownReuse). Without a prior copy in `reuse`, a full scan. With
+/// one, the prior copy itself while no row written since passes the
+/// selection; else the prior copy moved forward by the written rows
+/// that pass, its cached indexes linked to patch. The written rows come
+/// from the base's delta chain; when the chain no longer holds them
+/// (compacted, or the name re-created), a full scan diffed against the
+/// prior copy stands in for them.
+StatusOr<std::shared_ptr<const storage::Relation>> RefreshFilteredCopy(
+    const storage::Catalog& db, const std::string& base_name,
+    const std::shared_ptr<const storage::Relation>& base,
+    const std::string& name, const Filters& filters,
+    const PushDownReuse* reuse) {
+  if (reuse == nullptr || reuse->prev == nullptr ||
+      reuse->changed == nullptr || !reuse->prev->Contains(name)) {
+    return std::make_shared<const storage::Relation>(
+        FilterRows(*base, filters));
+  }
+  StatusOr<std::shared_ptr<const storage::Relation>> prior =
+      reuse->prev->GetShared(name);
+  if (!prior.ok() || reuse->changed->count(base_name) == 0) return prior;
+  std::vector<std::shared_ptr<const storage::DeltaBatch>> deltas;
+  bool chained = false;
+  if (reuse->versions != nullptr) {
+    auto since = reuse->versions->find(base_name);
+    chained = since != reuse->versions->end() &&
+              db.DeltasSince(base_name, since->second, &deltas) &&
+              !deltas.empty();
+  }
+  auto delta = std::make_shared<storage::DeltaBatch>();
+  std::shared_ptr<const storage::Relation> next;
+  if (chained) {
+    // Net effect of the writes on the copy: the written rows that pass
+    // the selection (every delta row already changed the base).
+    storage::DeltaBatch net = *deltas.front();
+    for (size_t d = 1; d < deltas.size(); ++d) {
+      net = storage::ComposeDelta(net, *deltas[d]);
+    }
+    delta->inserts = FilterRows(net.inserts, filters);
+    delta->deletes = FilterRows(net.deletes, filters);
+  } else {
+    next = Canonical(std::make_shared<const storage::Relation>(
+        FilterRows(*base, filters)));
+    *delta = DiffRows(*Canonical(*prior), *next);
+  }
+  // No written row passes: the copy is unchanged, and keeping its
+  // identity keeps every cached index and shard over it.
+  if (delta->rows() == 0) return prior;
+  if (next == nullptr) {
+    std::shared_ptr<const storage::Relation> canon = Canonical(*prior);
+    storage::Relation merged(canon->schema());
+    storage::MergeDeltaRows(canon->raw(), canon->arity(),
+                            delta->inserts.raw(), delta->deletes.raw(),
+                            &merged.mutable_raw());
+    next = std::make_shared<const storage::Relation>(std::move(merged));
+  }
+  // The prior copy's cached indexes and shards become patch sources.
+  db.index_cache().LinkDelta(*prior, next, std::move(delta));
+  return next;
+}
+
+}  // namespace
+
 StatusOr<PushedDown> PushDownSelections(const storage::Catalog& db,
                                         const SpjQuery& spj) {
   return PushDownSelections(db, spj, nullptr);
@@ -131,7 +254,7 @@ StatusOr<PushedDown> PushDownSelections(const storage::Catalog& db,
     if (!shared.ok()) return shared.status();
     const storage::Relation* base = shared->get();
     // Which selections touch this atom?
-    std::vector<std::pair<int, Value>> filters;  // column, value
+    Filters filters;
     for (const SpjQuery::Selection& sel : spj.selections) {
       const int pos = atom.schema.PositionOf(sel.attr);
       if (pos >= 0) filters.emplace_back(pos, sel.value);
@@ -146,39 +269,14 @@ StatusOr<PushedDown> PushDownSelections(const storage::Catalog& db,
       continue;
     }
     const std::string name = atom.relation + "__sel" + std::to_string(i);
-    if (reuse != nullptr && reuse->prev != nullptr &&
-        reuse->changed != nullptr &&
-        reuse->changed->count(atom.relation) == 0 &&
-        reuse->prev->Contains(name)) {
-      // The base did not change since the previous push-down: alias
-      // the prior filtered copy instead of re-scanning — identity is
-      // preserved, so its cached indexes stay bindable.
-      StatusOr<std::shared_ptr<const storage::Relation>> prior =
-          reuse->prev->GetShared(name);
-      if (!prior.ok()) return prior.status();
-      out.filtered += base->size() - (*prior)->size();
-      writes.Create(name, std::move(*prior));
-      query::Atom new_atom = atom;
-      new_atom.relation = name;
-      new_atoms.push_back(new_atom);
-      continue;
-    }
-    storage::Relation filtered(storage::Schema(base->schema()));
-    for (uint64_t r = 0; r < base->size(); ++r) {
-      bool keep = true;
-      for (const auto& [pos, value] : filters) {
-        if (base->At(r, pos) != value) {
-          keep = false;
-          break;
-        }
-      }
-      if (keep) filtered.Append(base->Row(r));
-    }
-    out.filtered += base->size() - filtered.size();
-    writes.Create(name, std::move(filtered));
     query::Atom new_atom = atom;
     new_atom.relation = name;
     new_atoms.push_back(new_atom);
+    StatusOr<std::shared_ptr<const storage::Relation>> copy =
+        RefreshFilteredCopy(db, atom.relation, *shared, name, filters, reuse);
+    if (!copy.ok()) return copy.status();
+    out.filtered += base->size() - (*copy)->size();
+    writes.Create(name, std::move(*copy));
   }
   ADJ_RETURN_IF_ERROR(out.catalog.Apply(writes));
   out.query = query::Query::Make(spj.join.attr_names(), new_atoms);

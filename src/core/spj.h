@@ -1,6 +1,7 @@
 #ifndef ADJ_CORE_SPJ_H_
 #define ADJ_CORE_SPJ_H_
 
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -87,15 +88,23 @@ StatusOr<PushedDown> PushDownSelections(const storage::Catalog& db,
 
 /// Delta-aware re-push-down: when a prepared query is refreshed after
 /// a write (api::Session::Reprepare), re-scanning every selected atom
-/// would cost O(dataset) even though most bases did not change. This
-/// overload aliases the *previous* filtered copy (from `prev`, usually
-/// the stale ExecutionContext's catalog) for every atom whose base
-/// relation is not in `changed`, so the re-push-down scans only the
-/// written relations — and preserves relation identity for the rest,
-/// which is what keeps their cached indexes bindable without rebuilds.
+/// would cost O(dataset) per atom even though a write touches a few
+/// rows. This overload starts from the *previous* filtered copies
+/// (from `prev`, usually the stale ExecutionContext's catalog):
+///  - an atom whose base is not in `changed` aliases its prior copy;
+///  - an atom whose base changed filters only the rows written since
+///    `versions` (the base versions the prior copies were filtered
+///    at), taken from the catalog's delta chain. When no written row
+///    passes the selection it aliases the prior copy as well; when
+///    some do, it merges them into the prior copy and links that delta
+///    into the index cache, so the copy's indexes and shards patch.
+///    Only a compacted or re-created chain falls back to a full scan.
+/// Aliasing preserves relation identity, which is what keeps cached
+/// indexes and shards bindable without rebuilds.
 struct PushDownReuse {
   const storage::Catalog* prev = nullptr;     // prior prepared catalog
   const std::set<std::string>* changed = nullptr;  // base names rewritten
+  const std::map<std::string, uint64_t>* versions = nullptr;  // at `prev`
 };
 StatusOr<PushedDown> PushDownSelections(const storage::Catalog& db,
                                         const SpjQuery& spj,

@@ -9,6 +9,7 @@
 #include "common/rng.h"
 #include "common/timer.h"
 #include "storage/codec.h"
+#include "storage/write_batch.h"
 
 namespace adj::dist {
 namespace {
@@ -86,10 +87,23 @@ std::vector<storage::Relation> RouteInput(const storage::Relation& rel,
   return blocks;
 }
 
-/// Routes, canonicalizes, and index-builds one input end to end —
-/// the expensive per-input work an IndexCache hit skips entirely.
-/// `build_seconds` (size num_servers) receives each receiver's timed
-/// local build work for this input.
+/// Modeled wire bytes of shipping one non-empty fragment under
+/// `variant`: raw tuples (Push), the delta-compressed tuple block
+/// (Pull), or the trie block (Merge).
+uint64_t WireBytes(HCubeVariant variant, const storage::Relation& block,
+                   const storage::Trie& trie) {
+  if (block.empty()) return 0;
+  switch (variant) {
+    case HCubeVariant::kPush:
+      return block.SizeBytes();
+    case HCubeVariant::kPull:
+      return storage::EncodedRelationBlockSize(block);
+    case HCubeVariant::kMerge:
+      return storage::EncodedTrieBlockSize(trie);
+  }
+  return 0;
+}
+
 /// Single-server shuffle outcome without building anything: with one
 /// server every tuple of the (already canonical) input lands on that
 /// server exactly once, so the shard fragment *is* the prepared
@@ -101,24 +115,16 @@ ShardedRelation AliasSingleServer(
   ShardedRelation sharded;
   sharded.per_server.resize(1);
   ShardedRelation::Fragment& frag = sharded.per_server[0];
-  if (!rel->empty()) {
-    switch (variant) {
-      case HCubeVariant::kPush:
-        frag.wire_bytes = rel->SizeBytes();
-        break;
-      case HCubeVariant::kPull:
-        frag.wire_bytes = storage::EncodeRelationBlock(*rel).size();
-        break;
-      case HCubeVariant::kMerge:
-        frag.wire_bytes = storage::EncodeTrieBlock(*trie).size();
-        break;
-    }
-  }
+  frag.wire_bytes = WireBytes(variant, *rel, *trie);
   frag.block = std::move(rel);
   frag.trie = std::move(trie);
   return sharded;
 }
 
+/// Routes, canonicalizes, and index-builds one input end to end —
+/// the expensive per-input work an IndexCache hit skips entirely.
+/// `build_seconds` (size num_servers) receives each receiver's timed
+/// local build work for this input.
 ShardedRelation BuildSharded(const storage::Relation& rel,
                              const RoutePlan& plan, int num_servers,
                              HCubeVariant variant, size_t input_index,
@@ -128,14 +134,19 @@ ShardedRelation BuildSharded(const storage::Relation& rel,
   sharded.per_server.resize(size_t(num_servers));
   for (int s = 0; s < num_servers; ++s) {
     storage::Relation block = std::move(blocks[size_t(s)]);
-    block.SortAndDedup();
+    // RouteInput keeps the input's row order, so a canonical input's
+    // blocks arrive sorted: the check is the Pull receiver's verify
+    // pass, and only a non-canonical input pays a sort.
+    WallTimer verify;
+    const bool sorted = block.IsSortedUnique();
+    const double verify_s = verify.Seconds();
+    if (!sorted) block.SortAndDedup();
     ShardedRelation::Fragment& frag = sharded.per_server[size_t(s)];
     storage::Trie trie;
     if (!block.empty()) {
       switch (variant) {
         case HCubeVariant::kPush: {
           // Records arrive interleaved: sort + dedup + build, timed.
-          frag.wire_bytes = block.SizeBytes();
           storage::Relation arrival =
               ScrambleRows(block, uint64_t(s) * 131 + input_index + 1);
           WallTimer timer;
@@ -146,11 +157,9 @@ ShardedRelation BuildSharded(const storage::Relation& rel,
         }
         case HCubeVariant::kPull: {
           // Sorted compressed blocks: verify order + build, no sort.
-          frag.wire_bytes = storage::EncodeRelationBlock(block).size();
           WallTimer timer;
-          block.IsSortedUnique();
           trie = storage::Trie::Build(block);
-          (*build_seconds)[size_t(s)] += timer.Seconds();
+          (*build_seconds)[size_t(s)] += verify_s + timer.Seconds();
           break;
         }
         case HCubeVariant::kMerge: {
@@ -158,11 +167,64 @@ ShardedRelation BuildSharded(const storage::Relation& rel,
           // does no local build work (the sender-side build below is
           // not charged to the receiver's makespan).
           trie = storage::Trie::Build(block);
-          frag.wire_bytes = storage::EncodeTrieBlock(trie).size();
           break;
         }
       }
     }
+    frag.wire_bytes = WireBytes(variant, block, trie);
+    frag.block = std::make_shared<const storage::Relation>(std::move(block));
+    frag.trie = std::make_shared<const storage::Trie>(std::move(trie));
+  }
+  return sharded;
+}
+
+/// The post-write form of BuildSharded: the fragments of the same
+/// input under the same spec, one relation version earlier, moved
+/// forward by the net delta (rows in the input's column order). Only
+/// the delta is routed; each server that receives delta rows
+/// gallop-merges them into its block and splices them into its trie,
+/// and every other server shares its predecessor fragment by pointer.
+/// The result equals BuildSharded over the new version. Patch work is
+/// charged to the receivers' build time except under Merge, whose
+/// senders ship pre-built tries.
+ShardedRelation PatchSharded(const ShardedRelation& prev,
+                             const storage::DeltaBatch& delta,
+                             const RoutePlan& plan, int num_servers,
+                             HCubeVariant variant,
+                             std::vector<double>* build_seconds) {
+  std::vector<storage::Relation> ins =
+      RouteInput(delta.inserts, plan, num_servers);
+  std::vector<storage::Relation> del =
+      RouteInput(delta.deletes, plan, num_servers);
+  ShardedRelation sharded = prev;
+  for (int s = 0; s < num_servers; ++s) {
+    if (ins[size_t(s)].empty() && del[size_t(s)].empty()) continue;
+    const ShardedRelation::Fragment& old = prev.per_server[size_t(s)];
+    WallTimer timer;
+    storage::Relation block(old.block->schema());
+    storage::MergeDeltaRows(old.block->raw(), old.block->arity(),
+                            ins[size_t(s)].raw(), del[size_t(s)].raw(),
+                            &block.mutable_raw());
+    storage::Trie trie;
+    if (!block.empty()) {
+      // An empty block carries the empty default trie, which has no
+      // levels to splice into.
+      trie = old.block->empty()
+                 ? storage::Trie::Build(block)
+                 : storage::Trie::PatchFrom(*old.trie, ins[size_t(s)],
+                                            del[size_t(s)]);
+    }
+    if (variant != HCubeVariant::kMerge) {
+      (*build_seconds)[size_t(s)] += timer.Seconds();
+    }
+    ShardedRelation::Fragment& frag = sharded.per_server[size_t(s)];
+    // A Pull block's size re-prices only the rows next to the delta.
+    frag.wire_bytes =
+        variant == HCubeVariant::kPull && !old.block->empty() && !block.empty()
+            ? storage::PatchedRelationBlockSize(*old.block, old.wire_bytes,
+                                                block, ins[size_t(s)],
+                                                del[size_t(s)])
+            : WireBytes(variant, block, trie);
     frag.block = std::make_shared<const storage::Relation>(std::move(block));
     frag.trie = std::make_shared<const storage::Trie>(std::move(trie));
   }
@@ -270,13 +332,27 @@ StatusOr<HCubeResult> HCubeShuffle(const std::vector<HCubeInput>& inputs,
       }
       StatusOr<std::shared_ptr<const void>> artifact = cache->GetOrBuild(
           in.rel, spec, in.pin,
-          [&]() -> StatusOr<storage::IndexCache::BuildResult> {
-            auto built = std::make_shared<ShardedRelation>(
-                alias_single
-                    ? AliasSingleServer(in.shared_rel, in.trie, variant)
-                    : BuildSharded(*in.rel, plans[i], num_servers, variant,
-                                   i, &build_s));
-            return storage::IndexCache::BuildResult{built, built->Bytes()};
+          [&](const storage::IndexCache::PatchBase* from)
+              -> StatusOr<storage::IndexCache::BuildResult> {
+            std::shared_ptr<ShardedRelation> built;
+            bool patched = false;
+            if (alias_single) {
+              built = std::make_shared<ShardedRelation>(
+                  AliasSingleServer(in.shared_rel, in.trie, variant));
+            } else if (from != nullptr) {
+              // After a write: the input's predecessor fragments under
+              // this spec move forward at delta cost.
+              built = std::make_shared<ShardedRelation>(PatchSharded(
+                  *static_cast<const ShardedRelation*>(from->artifact.get()),
+                  from->delta, plans[i], num_servers, variant, &build_s));
+              patched = true;
+            } else {
+              built = std::make_shared<ShardedRelation>(BuildSharded(
+                  *in.rel, plans[i], num_servers, variant, i, &build_s));
+            }
+            storage::IndexCache::BuildResult result{built, built->Bytes()};
+            result.patched = patched;
+            return result;
           },
           alias_single ? nullptr : build_stats);
       if (!artifact.ok()) return artifact.status();

@@ -97,6 +97,14 @@ class Catalog {
   /// (VersionOf(name) == v), independent of writes to other names.
   uint64_t VersionOf(const std::string& name) const;
 
+  /// The delta batches that took `name` from version `since` to its
+  /// current version, oldest first, appended to `out`. False when the
+  /// chain no longer holds them all: compacted since, or the name was
+  /// re-created, aliased or restored since — then only a full read of
+  /// the relation tells what changed.
+  bool DeltasSince(const std::string& name, uint64_t since,
+                   std::vector<std::shared_ptr<const DeltaBatch>>* out) const;
+
   /// Accumulated delta rows at which a written entry folds its chain
   /// into a new base (frees the old base and the batches; derived
   /// patch state survives, it references payloads, not the base).
@@ -141,6 +149,10 @@ class Catalog {
   struct Entry {
     std::shared_ptr<const Relation> base;
     std::vector<std::shared_ptr<const DeltaBatch>> deltas;
+    // The version each of `deltas` produced under this name; 0 for
+    // batches inherited by an alias or a restore, which DeltasSince
+    // cannot attribute.
+    std::vector<uint64_t> delta_versions;
     std::shared_ptr<const Relation> effective;
     uint64_t version = 0;
     // Whether `effective` is known lexicographically sorted + unique

@@ -1,6 +1,9 @@
 #include "storage/codec.h"
 
 #include <functional>
+#include <set>
+
+#include "storage/write_batch.h"
 
 namespace adj::storage {
 
@@ -52,36 +55,148 @@ Status DecodeSortedValues(const std::vector<uint8_t>& buf, size_t* pos,
   return Status::OK();
 }
 
-std::vector<uint8_t> EncodeRelationBlock(const Relation& rel) {
-  std::vector<uint8_t> out;
-  const int k = rel.arity();
-  PutVarint(uint64_t(k), &out);
-  PutVarint(rel.size(), &out);
-  // Shared-prefix + delta coding: for each row, the length of the
-  // common prefix with the previous row, then a delta for the first
-  // differing column and absolute values after it.
-  std::vector<Value> prev(k, 0);
-  for (uint64_t r = 0; r < rel.size(); ++r) {
-    std::span<const Value> row = rel.Row(r);
-    int common = 0;
-    if (r > 0) {
-      while (common < k && prev[size_t(common)] == row[size_t(common)]) {
-        ++common;
-      }
-    }
-    PutVarint(uint64_t(common), &out);
-    for (int c = common; c < k; ++c) {
-      if (c == common && r > 0) {
-        // Sorted input: first differing column strictly increases.
-        PutVarint(uint64_t(row[size_t(c)]) - uint64_t(prev[size_t(c)]),
-                  &out);
-      } else {
-        PutVarint(uint64_t(row[size_t(c)]), &out);
-      }
-      prev[size_t(c)] = row[size_t(c)];
+namespace {
+
+uint64_t VarintSize(uint64_t v) {
+  uint64_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
+
+/// Byte sinks for the block writers below: one appends the encoding,
+/// the other only counts it, so a wire size never allocates.
+struct ByteWriter {
+  std::vector<uint8_t>* out;
+  void Varint(uint64_t v) { PutVarint(v, out); }
+};
+struct ByteCounter {
+  uint64_t bytes = 0;
+  void Varint(uint64_t v) { bytes += VarintSize(v); }
+};
+
+/// One row of a tuple block: the length of its common prefix with the
+/// previous row (none for the first row), then a delta for the first
+/// differing column and absolute values after it.
+template <class Sink>
+void WriteRow(const Value* prev, const Value* row, int k, Sink& sink) {
+  int common = 0;
+  if (prev != nullptr) {
+    while (common < k && prev[common] == row[common]) ++common;
+  }
+  sink.Varint(uint64_t(common));
+  for (int c = common; c < k; ++c) {
+    if (c == common && prev != nullptr) {
+      // Sorted input: first differing column strictly increases.
+      sink.Varint(uint64_t(row[c]) - uint64_t(prev[c]));
+    } else {
+      sink.Varint(uint64_t(row[c]));
     }
   }
+}
+
+template <class Sink>
+void WriteRelationBlock(const Relation& rel, Sink& sink) {
+  const int k = rel.arity();
+  sink.Varint(uint64_t(k));
+  sink.Varint(rel.size());
+  const Value* prev = nullptr;
+  for (uint64_t r = 0; r < rel.size(); ++r) {
+    const Value* row = rel.Row(r).data();
+    WriteRow(prev, row, k, sink);
+    prev = row;
+  }
+}
+
+/// Bytes row `r` of `rel` takes in its tuple block.
+uint64_t RowBytes(const Relation& rel, uint64_t r) {
+  ByteCounter sink;
+  WriteRow(r > 0 ? rel.Row(r - 1).data() : nullptr, rel.Row(r).data(),
+           rel.arity(), sink);
+  return sink.bytes;
+}
+
+template <class Sink>
+void WriteTrieBlock(const Trie& trie, Sink& sink) {
+  const int k = trie.arity();
+  sink.Varint(uint64_t(k));
+  for (int l = 0; l < k; ++l) {
+    // Values per level are sorted runs *within a parent*; across
+    // parents they restart, so encode raw varints (still small) for
+    // robustness, plus the child offsets as a sorted sequence.
+    std::span<const Value> values = trie.values(l);
+    sink.Varint(values.size());
+    for (Value v : values) sink.Varint(uint64_t(v));
+    if (l + 1 < k) {
+      // Offsets ascend: delta-encoded as EncodeSortedValues does —
+      // count, then each offset minus its predecessor.
+      sink.Varint(values.size() + 1);
+      uint64_t prev = 0;
+      for (uint32_t i = 0; i < values.size(); ++i) {
+        const uint64_t lo = trie.ChildRange(l, i).lo;
+        sink.Varint(lo - prev);
+        prev = lo;
+      }
+      const uint64_t end =
+          values.empty()
+              ? 0
+              : trie.ChildRange(l, uint32_t(values.size()) - 1).hi;
+      sink.Varint(end - prev);
+    }
+  }
+}
+
+}  // namespace
+
+std::vector<uint8_t> EncodeRelationBlock(const Relation& rel) {
+  std::vector<uint8_t> out;
+  ByteWriter sink{&out};
+  WriteRelationBlock(rel, sink);
   return out;
+}
+
+uint64_t EncodedRelationBlockSize(const Relation& rel) {
+  ByteCounter sink;
+  WriteRelationBlock(rel, sink);
+  return sink.bytes;
+}
+
+uint64_t PatchedRelationBlockSize(const Relation& from, uint64_t from_bytes,
+                                  const Relation& to, const Relation& inserts,
+                                  const Relation& deletes) {
+  // A row's bytes depend only on it and its predecessor, so only rows
+  // whose predecessor changed re-price: in `from`, each removed row and
+  // its successor, and the row an insert lands before; in `to`, each
+  // inserted row and its successor, and the row that now follows a
+  // removed one. Sets, so a row next to two edits counts once.
+  const int k = from.arity();
+  std::set<uint64_t> gone, added;
+  auto present = [&](const Relation& rel, const Value* t, size_t* at) {
+    *at = RowLowerBound(rel.raw(), k, t);
+    return *at < rel.size() && CompareRows(rel.Row(*at).data(), t, k) == 0;
+  };
+  size_t i = 0, j = 0;
+  for (uint64_t d = 0; d < deletes.size(); ++d) {
+    if (!present(from, deletes.Row(d).data(), &i)) continue;  // no-op
+    gone.insert(i);
+    gone.insert(i + 1);
+    present(to, deletes.Row(d).data(), &j);
+    added.insert(j);
+  }
+  for (uint64_t d = 0; d < inserts.size(); ++d) {
+    if (present(from, inserts.Row(d).data(), &i)) continue;  // no-op
+    gone.insert(i);
+    present(to, inserts.Row(d).data(), &j);
+    added.insert(j);
+    added.insert(j + 1);
+  }
+  uint64_t bytes = from_bytes - VarintSize(from.size()) + VarintSize(to.size());
+  for (uint64_t r : gone) {
+    if (r < from.size()) bytes -= RowBytes(from, r);
+  }
+  for (uint64_t r : added) {
+    if (r < to.size()) bytes += RowBytes(to, r);
+  }
+  return bytes;
 }
 
 StatusOr<Relation> DecodeRelationBlock(const std::vector<uint8_t>& buf,
@@ -117,30 +232,15 @@ StatusOr<Relation> DecodeRelationBlock(const std::vector<uint8_t>& buf,
 
 std::vector<uint8_t> EncodeTrieBlock(const Trie& trie) {
   std::vector<uint8_t> out;
-  const int k = trie.arity();
-  PutVarint(uint64_t(k), &out);
-  for (int l = 0; l < k; ++l) {
-    // Values per level are sorted runs *within a parent*; across
-    // parents they restart, so encode raw varints (still small) for
-    // robustness, plus the child offsets as a sorted sequence.
-    std::span<const Value> values = trie.values(l);
-    PutVarint(values.size(), &out);
-    for (Value v : values) PutVarint(uint64_t(v), &out);
-    if (l + 1 < k) {
-      // Offsets ascend: delta-encode.
-      std::vector<Value> offsets;
-      offsets.reserve(values.size() + 1);
-      for (uint32_t i = 0; i < values.size(); ++i) {
-        offsets.push_back(trie.ChildRange(l, i).lo);
-      }
-      offsets.push_back(values.empty()
-                            ? 0
-                            : trie.ChildRange(l, uint32_t(values.size()) - 1)
-                                  .hi);
-      EncodeSortedValues(offsets, &out);
-    }
-  }
+  ByteWriter sink{&out};
+  WriteTrieBlock(trie, sink);
   return out;
+}
+
+uint64_t EncodedTrieBlockSize(const Trie& trie) {
+  ByteCounter sink;
+  WriteTrieBlock(trie, sink);
+  return sink.bytes;
 }
 
 StatusOr<Relation> DecodeTrieBlockToRelation(const std::vector<uint8_t>& buf,

@@ -1,6 +1,7 @@
 #include "storage/index_cache.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 namespace adj::storage {
 
@@ -36,6 +37,20 @@ StatusOr<std::shared_ptr<const void>> IndexCache::GetOrBuild(
     IndexBuildStats* stats) {
   return GetOrBuildTagged(identity, spec, std::move(pin), build, stats,
                           /*meta=*/nullptr);
+}
+
+StatusOr<std::shared_ptr<const void>> IndexCache::GetOrBuild(
+    const void* identity, const std::string& spec,
+    std::shared_ptr<const void> pin, const PatchFn& build,
+    IndexBuildStats* stats) {
+  const void* bound = pin.get();
+  return GetOrBuildTagged(
+      identity, spec, std::move(pin),
+      [&]() -> StatusOr<BuildResult> {
+        PatchBase from;
+        return build(TakeDerivedPatch(bound, spec, &from) ? &from : nullptr);
+      },
+      stats, /*meta=*/nullptr);
 }
 
 StatusOr<std::shared_ptr<const void>> IndexCache::GetOrBuildTagged(
@@ -445,54 +460,59 @@ void IndexCache::LinkDelta(const std::shared_ptr<const Relation>& prev,
   rec.child = next;
   // Inherit `prev`'s own unconsumed sources first — prev may itself be
   // an unbound successor of an older version, in which case the two
-  // deltas compose into one net delta per payload.
+  // deltas compose into one net delta per source. Every layer of an
+  // inherited source describes that ORIGINAL version, so the composed
+  // net delta applies to each.
   auto pit = patches_.find(prev.get());
   if (pit != patches_.end()) {
     if (auto live = pit->second.child.lock(); live == prev) {
       for (auto& [perm, src] : pit->second.by_perm) {
-        auto net = std::make_shared<DeltaBatch>(
-            ComposeDelta(*src.delta, *delta));
-        // Payload and trie both describe the ORIGINAL version, so the
-        // composed net delta applies to either.
-        rec.by_perm[perm] =
-            PatchSource{src.payload, std::move(net), src.trie};
+        PatchSource& inherited = rec.by_perm[perm];
+        inherited = std::move(src);
+        inherited.delta = std::make_shared<DeltaBatch>(
+            ComposeDelta(*inherited.delta, *delta));
       }
     }
     patches_.erase(pit);
   }
-  // Fresh sources from every canonical payload (and its trie) of
-  // `prev` currently resident; these supersede inherited ones (one
-  // delta, not two).
-  for (const auto& [key, entry] : entries_) {
-    if (key.first != prev.get() || !entry->ready ||
-        entry->meta == nullptr) {
-      continue;
-    }
-    if (entry->meta->kind == PermutedMeta::kRows) {
-      PatchSource& src = rec.by_perm[SpecJoin(entry->meta->perm)];
-      src.payload = std::static_pointer_cast<const Relation>(entry->artifact);
-      src.delta = delta;
-      src.trie = nullptr;  // reset an inherited trie: set below if resident
+  // Fresh sources from every layer of `prev` currently resident —
+  // canonical payload, trie, and the artifacts derived from each bound
+  // index (found under the index's own identity). A permutation with
+  // any fresh layer supersedes its inherited source: one delta, not
+  // two.
+  std::map<std::string, PatchSource> fresh;
+  for (auto it = entries_.lower_bound(Key{prev.get(), std::string()});
+       it != entries_.end() && it->first.first == prev.get(); ++it) {
+    const Entry& entry = *it->second;
+    if (!entry.ready || entry.meta == nullptr) continue;
+    PatchSource& src = fresh[SpecJoin(entry.meta->perm)];
+    switch (entry.meta->kind) {
+      case PermutedMeta::kRows:
+        src.payload = std::static_pointer_cast<const Relation>(entry.artifact);
+        break;
+      case PermutedMeta::kTrie:
+        src.trie = std::static_pointer_cast<const Trie>(entry.artifact);
+        break;
+      case PermutedMeta::kBind: {
+        const void* bound =
+            static_cast<const PreparedIndex*>(entry.artifact.get())->rel.get();
+        for (auto d = entries_.lower_bound(Key{bound, std::string()});
+             d != entries_.end() && d->first.first == bound; ++d) {
+          if (d->second->ready && d->second->meta == nullptr) {
+            src.derived[it->first.second][d->first.second] =
+                d->second->artifact;
+          }
+        }
+        break;
+      }
+      case PermutedMeta::kRel:
+        break;
     }
   }
-  for (const auto& [key, entry] : entries_) {
-    if (key.first != prev.get() || !entry->ready ||
-        entry->meta == nullptr ||
-        entry->meta->kind != PermutedMeta::kTrie) {
-      continue;
-    }
-    const std::string perm = SpecJoin(entry->meta->perm);
-    auto sit = rec.by_perm.find(perm);
-    if (sit != rec.by_perm.end() && sit->second.delta == delta) {
-      // Attach only to a fresh source (same delta): an inherited one
-      // carries the older version's trie, not this entry.
-      sit->second.trie = std::static_pointer_cast<const Trie>(entry->artifact);
-    } else if (sit == rec.by_perm.end()) {
-      // Trie resident without its rows payload (evicted): the trie
-      // layer can still patch even though the rows layer rebuilds.
-      rec.by_perm[perm] = PatchSource{
-          nullptr, delta, std::static_pointer_cast<const Trie>(entry->artifact)};
-    }
+  for (auto& [perm, src] : fresh) {
+    if (src.Drained()) continue;
+    src.delta = delta;
+    rec.by_perm[perm] = std::move(src);
   }
   if (!rec.by_perm.empty()) patches_[next.get()] = std::move(rec);
 }
@@ -521,8 +541,7 @@ void IndexCache::ConsumePatchSource(const void* identity,
   auto pit = it->second.by_perm.find(SpecJoin(perm));
   if (pit == it->second.by_perm.end()) return;
   pit->second.payload.reset();
-  if (pit->second.trie == nullptr) it->second.by_perm.erase(pit);
-  if (it->second.by_perm.empty()) patches_.erase(it);
+  EraseIfDrainedLocked(it, pit);
 }
 
 void IndexCache::ConsumeTriePatchSource(const void* identity,
@@ -533,7 +552,64 @@ void IndexCache::ConsumeTriePatchSource(const void* identity,
   auto pit = it->second.by_perm.find(SpecJoin(perm));
   if (pit == it->second.by_perm.end()) return;
   pit->second.trie.reset();
-  if (pit->second.payload == nullptr) it->second.by_perm.erase(pit);
+  EraseIfDrainedLocked(it, pit);
+}
+
+bool IndexCache::TakeDerivedPatch(const void* pin, const std::string& spec,
+                                  PatchBase* out) {
+  std::shared_ptr<const DeltaBatch> delta;
+  Schema schema;
+  std::vector<int> perm;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (patches_.empty()) return false;  // no write since the last binds
+    // The bound index `pin` is the artifact of a bind entry; its key
+    // names the relation (whose patch record holds the predecessors)
+    // and the labeling the derived artifacts were recorded under.
+    auto bind = entries_.begin();
+    for (; bind != entries_.end(); ++bind) {
+      const Entry& e = *bind->second;
+      if (e.ready && e.artifact.get() == pin && e.meta != nullptr &&
+          e.meta->kind == PermutedMeta::kBind) {
+        break;
+      }
+    }
+    if (bind == entries_.end()) return false;
+    auto it = patches_.find(bind->first.first);
+    // ABA guard, as in PeekPatchSource: the bind entry's pin is its
+    // relation.
+    if (it == patches_.end() ||
+        it->second.child.lock() != bind->second->pin) {
+      return false;
+    }
+    auto pit = it->second.by_perm.find(SpecJoin(bind->second->meta->perm));
+    if (pit == it->second.by_perm.end()) return false;
+    PatchSource& src = pit->second;
+    auto dit = src.derived.find(bind->first.second);
+    if (dit == src.derived.end()) return false;
+    auto sit = dit->second.find(spec);
+    if (sit == dit->second.end()) return false;
+    out->artifact = std::move(sit->second);
+    delta = src.delta;
+    schema = bind->second->meta->schema;
+    perm = bind->second->meta->perm;
+    dit->second.erase(sit);
+    if (dit->second.empty()) src.derived.erase(dit);
+    EraseIfDrainedLocked(it, pit);
+  }
+  // Permute the net delta into the bound index's column order outside
+  // the lock: a write's few rows, sorted once per derived artifact.
+  out->delta.inserts = delta->inserts.PermuteColumns(schema, perm);
+  out->delta.inserts.SortAndDedup();
+  out->delta.deletes = delta->deletes.PermuteColumns(schema, perm);
+  out->delta.deletes.SortAndDedup();
+  return true;
+}
+
+void IndexCache::EraseIfDrainedLocked(
+    std::map<const void*, PatchRecord>::iterator it,
+    std::map<std::string, PatchSource>::iterator pit) {
+  if (pit->second.Drained()) it->second.by_perm.erase(pit);
   if (it->second.by_perm.empty()) patches_.erase(it);
 }
 
@@ -548,7 +624,10 @@ bool IndexCache::SweepOnceLocked() {
   // How many pins inside the cache share each source's control block:
   // a source is unreachable when the cache accounts for every one of
   // its remaining references.
-  std::map<const void*, long> cache_pins;
+  // Hashed: every catalog write — including each prepare's execution
+  // and push-down catalogs — sweeps, so this runs per plan refresh.
+  std::unordered_map<const void*, long> cache_pins;
+  cache_pins.reserve(entries_.size());
   for (const auto& [key, entry] : entries_) {
     if (entry->ready) ++cache_pins[entry->pin.get()];
   }

@@ -149,6 +149,30 @@ class IndexCache {
       std::shared_ptr<const void> pin, const BuildFn& build,
       IndexBuildStats* stats = nullptr);
 
+  /// What an artifact derived from a bound index can be patched from
+  /// after a write: the artifact the same spec resolved to over the
+  /// pre-write version of that index, and the net delta between the
+  /// two versions with its rows permuted into the bound index's column
+  /// order (sorted, unique, disjoint — DeltaBatch's contract).
+  struct PatchBase {
+    std::shared_ptr<const void> artifact;
+    DeltaBatch delta;
+  };
+  using PatchFn = std::function<StatusOr<BuildResult>(const PatchBase*)>;
+
+  /// GetOrBuild for artifacts derived from a bound index — `pin` is a
+  /// PreparedIndex GetPermuted returned and `identity` its `rel` (the
+  /// HCube shard layer keys its fragments this way). On a miss, `build`
+  /// receives the predecessor artifact under the same spec when
+  /// LinkDelta recorded one for the index's relation, so it can patch
+  /// at delta cost (setting BuildResult::patched); otherwise it gets
+  /// null and builds from scratch. Each recorded predecessor serves one
+  /// miss.
+  StatusOr<std::shared_ptr<const void>> GetOrBuild(
+      const void* identity, const std::string& spec,
+      std::shared_ptr<const void> pin, const PatchFn& build,
+      IndexBuildStats* stats = nullptr);
+
   /// The tentpole key — (relation identity, column order): `base`
   /// with column i of the result taken from column perm[i], under
   /// `schema`, sorted, deduplicated, and trie-indexed. Pointer-equal
@@ -215,15 +239,18 @@ class IndexCache {
   /// before the sweep). For every canonical permuted payload of `prev`
   /// currently resident — plus any payloads `prev` itself inherited
   /// and never consumed, whose deltas compose — the cache records a
-  /// *patch source*: {payload handle, net delta}. The next
-  /// GetPermuted* miss under `next` then builds its canonical rows by
-  /// permuting + sorting the (small) delta and galloping-merging it
-  /// into the recorded payload — O(delta log n) locate work and run
-  /// copies — instead of re-permuting and re-sorting all of `next`.
-  /// Patch sources hold the payload artifact itself, so they survive
-  /// sweeps/evictions of `prev`'s entries and compaction of the chain;
-  /// they die when consumed, superseded by a newer write, or when
-  /// `next` itself becomes unreachable.
+  /// *patch source*: {payload handle, trie, derived artifacts, net
+  /// delta}. The next GetPermuted* miss under `next` then builds its
+  /// canonical rows by permuting + sorting the (small) delta and
+  /// galloping-merging it into the recorded payload — O(delta log n)
+  /// locate work and run copies — instead of re-permuting and
+  /// re-sorting all of `next`; the trie patches likewise, and so does
+  /// every artifact derived from a bound index of `prev` (HCube
+  /// shards, through the PatchFn GetOrBuild). Patch sources hold the
+  /// artifacts themselves, so they survive sweeps/evictions of
+  /// `prev`'s entries and compaction of the chain; they die when
+  /// consumed, superseded by a newer write, or when `next` itself
+  /// becomes unreachable.
   void LinkDelta(const std::shared_ptr<const Relation>& prev,
                  const std::shared_ptr<const Relation>& next,
                  std::shared_ptr<const DeltaBatch> delta);
@@ -272,14 +299,23 @@ class IndexCache {
 
   /// One patchable predecessor for (relation, perm): the canonical
   /// permuted rows of an older version of the relation — and the trie
-  /// over them, when it was resident — plus the net delta separating
-  /// the two versions. Rows and trie are consumed independently (each
-  /// layer patches once); a cleared member means that layer already
-  /// patched or was never resident.
+  /// over them, and the artifacts derived from its bound indexes, when
+  /// they were resident — plus the net delta separating the two
+  /// versions. Every layer is consumed independently (each patches
+  /// once); a cleared member means that layer already patched or was
+  /// never resident.
   struct PatchSource {
     std::shared_ptr<const Relation> payload;
     std::shared_ptr<const DeltaBatch> delta;
     std::shared_ptr<const Trie> trie;
+    /// Derived artifacts, by the bind spec of the index they were
+    /// derived from, then by their own spec.
+    std::map<std::string, std::map<std::string, std::shared_ptr<const void>>>
+        derived;
+
+    bool Drained() const {
+      return payload == nullptr && trie == nullptr && derived.empty();
+    }
   };
   /// Patch sources for one successor relation, keyed by SpecJoin(perm).
   /// `child` guards against address reuse: a record is only honored
@@ -327,6 +363,15 @@ class IndexCache {
   /// side is already consumed.
   void ConsumeTriePatchSource(const void* identity,
                               const std::vector<int>& perm);
+  /// Takes the predecessor of the artifact `spec` derived from the
+  /// bound index `pin`, if its relation's patch source recorded one.
+  bool TakeDerivedPatch(const void* pin, const std::string& spec,
+                        PatchBase* out);
+  /// Drops the per-perm source `pit` of record `it` once every layer
+  /// is consumed, and the record once empty. Caller holds mu_.
+  void EraseIfDrainedLocked(
+      std::map<const void*, PatchRecord>::iterator it,
+      std::map<std::string, PatchSource>::iterator pit);
 
   /// GetOrBuild plus permuted-layer bookkeeping (meta tag, mmap flag
   /// forwarded from adopted builds).

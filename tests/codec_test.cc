@@ -4,6 +4,7 @@
 #include "common/rng.h"
 #include "dataset/generators.h"
 #include "storage/codec.h"
+#include "storage/write_batch.h"
 
 namespace adj::storage {
 namespace {
@@ -150,6 +151,85 @@ TEST(TrieBlockTest, EmptyTrie) {
                                            rel.schema());
   ASSERT_TRUE(decoded.ok());
   EXPECT_TRUE(decoded->empty());
+}
+
+TEST(EncodedSizeTest, SizesEqualEncodedBufferOnRandomInputs) {
+  // The allocation-free size functions HCube's wire accounting uses
+  // must agree byte for byte with the buffers they stand in for:
+  // arities 1-4, empty to a few hundred rows, small domains (long
+  // shared prefixes) and wide ones (multi-byte varints), sorted and
+  // unsorted rows, and the empty default trie.
+  Rng rng(31);
+  for (int round = 0; round < 60; ++round) {
+    const int arity = 1 + int(rng.Uniform(4));
+    std::vector<AttrId> attrs(static_cast<size_t>(arity));
+    for (int i = 0; i < arity; ++i) attrs[size_t(i)] = i;
+    Relation rel(Schema{attrs});
+    const uint64_t domain = rng.Uniform(2) == 0 ? 6 : 4000000000ull;
+    for (uint64_t r = rng.Uniform(300); r > 0; --r) {
+      std::vector<Value> row(static_cast<size_t>(arity));
+      for (Value& v : row) v = Value(rng.Uniform(domain));
+      rel.Append(row);
+    }
+    if (round % 4 != 0) rel.SortAndDedup();
+    EXPECT_EQ(EncodedRelationBlockSize(rel), EncodeRelationBlock(rel).size())
+        << "round " << round;
+    if (round % 4 == 0) continue;  // tries need canonical rows
+    const Trie trie = Trie::Build(rel);
+    EXPECT_EQ(EncodedTrieBlockSize(trie), EncodeTrieBlock(trie).size())
+        << "round " << round;
+  }
+  const Trie empty;
+  EXPECT_EQ(EncodedTrieBlockSize(empty), EncodeTrieBlock(empty).size());
+}
+
+TEST(EncodedSizeTest, PatchedSizeEqualsSizeOfMergedBlock) {
+  // PatchedRelationBlockSize re-prices only the rows next to a delta;
+  // it must land on the full size of the merged block — for edits at
+  // the ends, adjacent edits, and delta rows that change nothing
+  // (present inserts, absent tombstones).
+  Rng rng(37);
+  for (int round = 0; round < 200; ++round) {
+    const int arity = 1 + int(rng.Uniform(3));
+    std::vector<AttrId> attrs(static_cast<size_t>(arity));
+    for (int i = 0; i < arity; ++i) attrs[size_t(i)] = i;
+    const Schema schema(attrs);
+    const uint64_t domain = rng.Uniform(2) == 0 ? 5 : 300;
+    auto random_rel = [&](uint64_t rows) {
+      Relation rel(schema);
+      for (uint64_t r = 0; r < rows; ++r) {
+        std::vector<Value> row(static_cast<size_t>(arity));
+        for (Value& v : row) v = Value(rng.Uniform(domain));
+        rel.Append(row);
+      }
+      rel.SortAndDedup();
+      return rel;
+    };
+    const Relation from = random_rel(1 + rng.Uniform(80));
+    const Relation inserts = random_rel(rng.Uniform(8));
+    Relation deletes = random_rel(rng.Uniform(8));
+    for (uint64_t r = 0; r < from.size(); ++r) {
+      if (rng.Uniform(6) == 0) deletes.Append(from.Row(r));
+    }
+    deletes.SortAndDedup();
+    // Disjoint sides, as DeltaBatch requires.
+    Relation kept(schema);
+    for (uint64_t d = 0; d < deletes.size(); ++d) {
+      bool inserted = false;
+      for (uint64_t i = 0; i < inserts.size(); ++i) {
+        inserted = inserted || std::ranges::equal(deletes.Row(d),
+                                                  inserts.Row(i));
+      }
+      if (!inserted) kept.Append(deletes.Row(d));
+    }
+    Relation to(schema);
+    MergeDeltaRows(from.raw(), arity, inserts.raw(), kept.raw(),
+                   &to.mutable_raw());
+    EXPECT_EQ(PatchedRelationBlockSize(from, EncodedRelationBlockSize(from),
+                                       to, inserts, kept),
+              EncodedRelationBlockSize(to))
+        << "round " << round;
+  }
 }
 
 }  // namespace

@@ -622,6 +622,80 @@ TEST(ServerTest, ConcurrentApplyAndHotReadsMatchSerialOracle) {
   EXPECT_EQ(server.stats().writes_applied, uint64_t(kWrites));
 }
 
+TEST(ServerTest, WritesBesideSelectionReadsMatchFreshSessionsAfterDrain) {
+  // The read/write serving mix at small scale: three workers at four
+  // servers run selection keys while a writer applies batches, some of
+  // whose rows the keys' constants select. Each write stales the
+  // cached plans, whose refreshes patch filtered copies, indexes and
+  // shards on the workers concurrently. Drained, every key must answer
+  // what a fresh session computes on the final database.
+  constexpr int kWrites = 12;
+  ServerOptions options = FastOptions();
+  options.worker_threads = 3;
+  options.queue_capacity = 256;
+  options.cache_capacity = 16;
+  Server server(SmallDatabase(43, 40, 240), options);
+  const std::vector<Value> hubs = {1, 2, 5};
+  std::vector<std::string> keys;
+  for (Value hub : hubs) {
+    keys.push_back(std::string(kTriangle) + " | a=" + std::to_string(hub));
+    keys.push_back(std::string(kSquare) + " | a=" + std::to_string(hub));
+  }
+  for (const std::string& key : keys) {
+    api::Result warm = server.Execute(key);
+    ASSERT_TRUE(warm.ok()) << key << ": " << warm.status();
+  }
+
+  std::atomic<bool> stop{false};
+  Status reader_status = Status::OK();
+  std::thread reader([&] {
+    std::vector<std::future<api::Result>> pending;
+    for (size_t n = 0; !stop.load(std::memory_order_relaxed); ++n) {
+      StatusOr<std::future<api::Result>> f =
+          server.Submit(keys[n % keys.size()]);
+      if (f.ok()) pending.push_back(std::move(f.value()));
+      if (pending.size() >= 8) {
+        for (std::future<api::Result>& p : pending) {
+          api::Result r = p.get();
+          if (!r.ok() && reader_status.ok()) reader_status = r.status();
+        }
+        pending.clear();
+      }
+    }
+    for (std::future<api::Result>& p : pending) {
+      api::Result r = p.get();
+      if (!r.ok() && reader_status.ok()) reader_status = r.status();
+    }
+  });
+  Rng rng(4343);
+  for (int w = 0; w < kWrites; ++w) {
+    storage::WriteBatch batch;
+    for (int i = 0; i < 4; ++i) {
+      // Every third write gives a hub an edge; the rest miss them all.
+      const Value a = w % 3 == 0 && i == 0 ? hubs[size_t(w / 3) % hubs.size()]
+                                           : Value(10 + rng.Uniform(30));
+      batch.Insert("G", {a, Value(rng.Uniform(40))});
+    }
+    ASSERT_TRUE(server.Apply(batch).ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+  }
+  stop.store(true);
+  reader.join();
+  EXPECT_TRUE(reader_status.ok()) << reader_status;
+  server.Drain();
+  EXPECT_GT(server.stats().reprepared, 0u);
+
+  api::Session fresh = server.database().OpenSession();
+  fresh.options() = options.engine;
+  for (const std::string& key : keys) {
+    api::Result served = server.Execute(key);
+    api::Result want = fresh.Run(key);
+    ASSERT_TRUE(served.ok()) << key << ": " << served.status();
+    ASSERT_TRUE(want.ok()) << key << ": " << want.status();
+    EXPECT_EQ(served.count(), want.count()) << key;
+  }
+}
+
 TEST(ServerTest, WeightedLanesPerLaneStatsAndValidation) {
   ServerOptions options = FastOptions();
   options.lanes = {{"gold", 3, 0}, {"silver", 1, 0}, {"background", 0, 2}};

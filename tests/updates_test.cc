@@ -1,6 +1,7 @@
 // Delta-aware update coverage: WriteBatch/Apply semantics (atomicity,
 // per-name versions, compaction, tombstones of delta rows), the
-// MergeDeltaRows / ComposeDelta kernels against set oracles, snapshot
+// MergeDeltaRows / ComposeDelta kernels against set oracles, delta-
+// patched tries and HCube shards against scratch builds, snapshot
 // round-trips of written-to catalogs, and the randomized mixed
 // read/write property suite — interleaved batches and prepared runs
 // across all five strategies must match a rebuild-from-scratch oracle
@@ -19,6 +20,8 @@
 #include "common/rng.h"
 #include "core/spj.h"
 #include "dataset/generators.h"
+#include "dist/cluster.h"
+#include "dist/hcube.h"
 #include "storage/catalog.h"
 #include "storage/trie.h"
 #include "storage/write_batch.h"
@@ -52,7 +55,8 @@ std::set<Edge> ToEdges(const Relation& rel) {
 }
 
 /// Ground truth for a query over an explicit edge set: a fresh catalog
-/// built from scratch (no deltas, no caches) plus the naive evaluator.
+/// built from scratch (no deltas, no caches) plus the naive evaluator,
+/// with the query's equality selections applied to its output.
 uint64_t RebuildOracle(const std::set<Edge>& edges, const std::string& text) {
   Catalog db;
   EXPECT_TRUE(db.Apply(WriteBatch().Create("G", FromEdges(edges))).ok());
@@ -60,7 +64,17 @@ uint64_t RebuildOracle(const std::set<Edge>& edges, const std::string& text) {
   EXPECT_TRUE(spj.ok()) << spj.status();
   StatusOr<Relation> joined = wcoj::NaiveJoin(spj->join, db);
   EXPECT_TRUE(joined.ok()) << joined.status();
-  return joined.ok() ? joined->size() : 0;
+  if (!joined.ok()) return 0;
+  uint64_t count = 0;
+  for (uint64_t r = 0; r < joined->size(); ++r) {
+    bool keep = true;
+    for (const core::SpjQuery::Selection& sel : spj->selections) {
+      keep = keep && joined->At(r, joined->schema().PositionOf(sel.attr)) ==
+                         sel.value;
+    }
+    count += keep ? 1 : 0;
+  }
+  return count;
 }
 
 // ---------------------------------------------------------------------------
@@ -308,6 +322,135 @@ TEST(TriePatchTest, MatchesScratchBuildOnRandomDeltas) {
   }
 }
 
+/// Shuffles `index` (bound to attributes {0, 1}) onto a fresh
+/// 4-server cluster; through `cache` when given, else inline.
+dist::Cluster ShuffleIndex(
+    const std::shared_ptr<const storage::PreparedIndex>& index,
+    const dist::ShareVector& share, dist::HCubeVariant variant,
+    storage::IndexCache* cache, storage::IndexBuildStats* stats,
+    dist::CommStats* comm) {
+  dist::HCubeInput in;
+  in.rel = index->rel.get();
+  in.attrs = {0, 1};
+  in.pin = index;
+  in.shared_rel = index->rel;
+  in.trie = index->trie;
+  dist::Cluster cluster(dist::ClusterConfig{.num_servers = 4});
+  StatusOr<dist::HCubeResult> shuffled =
+      dist::HCubeShuffle({in}, share, variant, &cluster, cache, stats);
+  EXPECT_TRUE(shuffled.ok()) << shuffled.status();
+  if (shuffled.ok()) *comm = shuffled->comm;
+  return cluster;
+}
+
+TEST(ShardPatchTest, PatchedShardsEqualScratchBuildOnRandomDeltas) {
+  // After a write, HCube shard artifacts move forward by routing only
+  // the delta. Per server, the patched fragment must be structurally
+  // the fragment a scratch BuildSharded of the new version produces:
+  // the same rows, the same trie arrays, the same modeled wire bytes —
+  // under every variant, for shares that partition on one attribute,
+  // on both, or duplicate along a free one, and for two column orders.
+  const std::vector<dist::ShareVector> shares = {
+      {{2, 2}}, {{4, 1}}, {{1, 3}}, {{2, 1, 3}}};
+  const dist::HCubeVariant variants[] = {dist::HCubeVariant::kPush,
+                                         dist::HCubeVariant::kPull,
+                                         dist::HCubeVariant::kMerge};
+  Rng rng(9090);
+  for (dist::HCubeVariant variant : variants) {
+    for (const dist::ShareVector& share : shares) {
+      for (const std::vector<int>& perm :
+           {std::vector<int>{0, 1}, std::vector<int>{1, 0}}) {
+        const std::string where = std::string(dist::HCubeVariantName(variant)) +
+                                  " share " + share.ToString() + " perm " +
+                                  storage::SpecJoin(perm);
+        Catalog db;
+        db.set_delta_compact_threshold(1 << 20);
+        ASSERT_TRUE(db.Apply(WriteBatch().Create(
+                        "G", dataset::ErdosRenyi(30, 160, rng))).ok());
+        std::set<Edge> mirror = ToEdges(**db.Get("G"));
+        auto bind = [&] {
+          StatusOr<std::shared_ptr<const storage::PreparedIndex>> index =
+              db.index_cache().GetPermuted(*db.GetShared("G"), EdgeSchema(),
+                                           perm);
+          EXPECT_TRUE(index.ok()) << index.status();
+          return *index;
+        };
+        dist::CommStats comm;
+        // The shards every later round patches forward from.
+        ShuffleIndex(bind(), share, variant, &db.index_cache(), nullptr,
+                     &comm);
+        for (int round = 0; round < 4; ++round) {
+          // Round 2 applies two batches before the next read: the
+          // shards must patch across the composed delta.
+          for (int batch_no = 0; batch_no < (round == 2 ? 2 : 1);
+               ++batch_no) {
+            WriteBatch batch;
+            for (int i = 0; i < 6; ++i) {
+              if (rng.Uniform(3) == 0 && !mirror.empty()) {
+                auto victim = mirror.begin();
+                std::advance(victim, rng.Uniform(mirror.size()));
+                batch.Delete("G", {victim->first, victim->second});
+                mirror.erase(victim);
+              } else {
+                const Value a = Value(rng.Uniform(40));
+                const Value b = Value(rng.Uniform(40));
+                batch.Insert("G", {a, b});
+                mirror.insert({a, b});
+              }
+            }
+            ASSERT_TRUE(db.Apply(batch).ok());
+          }
+          storage::IndexBuildStats stats;
+          dist::CommStats patched_comm;
+          dist::Cluster patched = ShuffleIndex(
+              bind(), share, variant, &db.index_cache(), &stats,
+              &patched_comm);
+          EXPECT_EQ(stats.builds, 0u) << where << " round " << round;
+          EXPECT_EQ(stats.patched, 1u) << where << " round " << round;
+
+          // The scratch build: the same rows under a fresh identity,
+          // shuffled inline.
+          Catalog scratch_db;
+          ASSERT_TRUE(scratch_db.Apply(WriteBatch().Create(
+                          "G", FromEdges(mirror))).ok());
+          StatusOr<std::shared_ptr<const storage::PreparedIndex>> scratch =
+              scratch_db.index_cache().GetPermuted(
+                  *scratch_db.GetShared("G"), EdgeSchema(), perm);
+          ASSERT_TRUE(scratch.ok()) << scratch.status();
+          dist::CommStats scratch_comm;
+          dist::Cluster built = ShuffleIndex(*scratch, share, variant,
+                                             nullptr, nullptr, &scratch_comm);
+          EXPECT_EQ(patched_comm.tuple_copies, scratch_comm.tuple_copies)
+              << where << " round " << round;
+          EXPECT_EQ(patched_comm.blocks, scratch_comm.blocks) << where;
+          EXPECT_EQ(patched_comm.bytes, scratch_comm.bytes)
+              << "wire bytes differ: " << where << " round " << round;
+          for (int s = 0; s < 4; ++s) {
+            const Relation& prow = *patched.shard(s).atoms[0];
+            const Relation& brow = *built.shard(s).atoms[0];
+            ASSERT_TRUE(std::ranges::equal(prow.raw(), brow.raw()))
+                << "rows differ on server " << s << ": " << where
+                << " round " << round;
+            const storage::Trie& pt = *patched.shard(s).tries[0];
+            const storage::Trie& bt = *built.shard(s).tries[0];
+            ASSERT_EQ(pt.arity(), bt.arity()) << where << " server " << s;
+            for (int l = 0; l < bt.arity(); ++l) {
+              const auto pv = pt.LevelSpan(l), bv = bt.LevelSpan(l);
+              ASSERT_TRUE(std::ranges::equal(pv, bv))
+                  << "trie values differ at level " << l << " on server "
+                  << s << ": " << where;
+              const auto pk = pt.ChildBeginSpan(l), bk = bt.ChildBeginSpan(l);
+              ASSERT_TRUE(std::ranges::equal(pk, bk))
+                  << "child offsets differ at level " << l << " on server "
+                  << s << ": " << where;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(ComposeDeltaTest, CompositionEqualsSequentialApplication) {
   Rng rng(777);
   for (int round = 0; round < 30; ++round) {
@@ -451,14 +594,26 @@ TEST(UpdatePropertyTest, MixedReadsAndWritesMatchRebuildOracle) {
 
   api::Session session = db.OpenSession();
   session.options().num_samples = 64;
-  session.options().cluster.num_servers = 2;
+  session.options().cluster.num_servers = 4;
 
   const std::string kPath = "G(a,b) G(b,c)";
   const std::string kTriangle = "G(a,b) G(b,c) G(a,c)";
-  StatusOr<api::PreparedQuery> prepared = session.Prepare(kPath);
-  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  // A selection query: some rounds write rows its constant selects
+  // (the filtered copies must take them), the others write none (the
+  // filtered copies must stay as they were).
+  constexpr Value kHub = 3;
+  const std::string kHubTriangle =
+      kTriangle + " | a=" + std::to_string(kHub);
+  const std::vector<std::string> prepared_texts = {kPath, kHubTriangle};
+  std::vector<api::PreparedQuery> prepared;
+  for (const std::string& text : prepared_texts) {
+    StatusOr<api::PreparedQuery> pq = session.Prepare(text);
+    ASSERT_TRUE(pq.ok()) << pq.status();
+    ASSERT_TRUE(pq->Run().ok());  // the shards later rounds patch from
+    prepared.push_back(std::move(pq.value()));
+  }
 
-  for (int round = 0; round < 6; ++round) {
+  for (int round = 0; round < 8; ++round) {
     // A random batch: mostly fresh inserts, some tombstones — biased
     // toward rows added by *earlier* batches so tombstone-of-delta-row
     // paths run every round.
@@ -478,15 +633,49 @@ TEST(UpdatePropertyTest, MixedReadsAndWritesMatchRebuildOracle) {
         mirror.erase(victim);
       }
     }
+    // Odd rounds hit the selection: an edge out of the hub (closing
+    // triangles through it) and, when it has one, a tombstone of
+    // another.
+    if (round % 2 == 1) {
+      const Value b = Value(rng.Uniform(25));
+      batch.Insert("G", {kHub, b});
+      mirror.insert({kHub, b});
+      auto out = mirror.lower_bound({kHub, 0});
+      if (out != mirror.end() && out->first == kHub && out->second != b) {
+        batch.Delete("G", {out->first, out->second});
+        mirror.erase(out);
+      }
+    }
     ASSERT_TRUE(db.Apply(batch).ok());
     ASSERT_EQ(ToEdges(**db.catalog().Get("G")), mirror)
         << "round " << round;
 
-    // Rebuild-from-scratch oracle after every write...
-    const uint64_t path_oracle = RebuildOracle(mirror, kPath);
-    const uint64_t triangle_oracle = RebuildOracle(mirror, kTriangle);
+    // The delta-refreshed prepared queries first — merge-on-read
+    // instead of re-plan: the staleness check + Reprepare is exactly
+    // what serve::Server does between writes — checked against a
+    // rebuild-from-scratch oracle after every write. They run before
+    // anything else reads the new version, so every index and shard
+    // they bind must come from a delta patch.
+    for (size_t q = 0; q < prepared.size(); ++q) {
+      api::PreparedQuery& pq = prepared[q];
+      const std::string& text = prepared_texts[q];
+      EXPECT_FALSE(session.IsFresh(pq));
+      StatusOr<api::PreparedQuery> refreshed = session.Reprepare(pq);
+      ASSERT_TRUE(refreshed.ok()) << refreshed.status();
+      pq = std::move(refreshed.value());
+      api::Result via_prepared = pq.Run();
+      ASSERT_TRUE(via_prepared.ok()) << via_prepared.status();
+      EXPECT_EQ(via_prepared.count(), RebuildOracle(mirror, text))
+          << text << ": prepared rerun diverged at round " << round;
+      EXPECT_TRUE(session.IsFresh(pq));
+      EXPECT_EQ(via_prepared.index_builds(), 0u)
+          << text << ": a delta refresh must patch, not rebuild, at round "
+          << round;
+    }
 
-    // ...against all five strategies (cold session runs)...
+    // ...and all five strategies (cold session runs) against the same
+    // oracle.
+    const uint64_t path_oracle = RebuildOracle(mirror, kPath);
     for (const char* strategy : kStrategies) {
       api::Result r = session.Run(kPath, strategy);
       ASSERT_TRUE(r.ok()) << strategy << ": " << r.status();
@@ -495,22 +684,8 @@ TEST(UpdatePropertyTest, MixedReadsAndWritesMatchRebuildOracle) {
     }
     api::Result triangle = session.Run(kTriangle);
     ASSERT_TRUE(triangle.ok()) << triangle.status();
-    EXPECT_EQ(triangle.count(), triangle_oracle) << "round " << round;
-
-    // ...and against the delta-refreshed prepared query (merge-on-read
-    // instead of re-plan: the staleness check + Reprepare is exactly
-    // what serve::Server does between writes).
-    EXPECT_FALSE(session.IsFresh(*prepared));
-    StatusOr<api::PreparedQuery> refreshed = session.Reprepare(*prepared);
-    ASSERT_TRUE(refreshed.ok()) << refreshed.status();
-    prepared = std::move(refreshed);
-    api::Result via_prepared = prepared->Run();
-    ASSERT_TRUE(via_prepared.ok()) << via_prepared.status();
-    EXPECT_EQ(via_prepared.count(), path_oracle)
-        << "prepared rerun diverged at round " << round;
-    EXPECT_TRUE(session.IsFresh(*prepared));
-    EXPECT_EQ(via_prepared.index_builds(), 0u)
-        << "a delta refresh must patch, not rebuild, at round " << round;
+    EXPECT_EQ(triangle.count(), RebuildOracle(mirror, kTriangle))
+        << "round " << round;
   }
 }
 
