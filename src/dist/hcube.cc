@@ -136,11 +136,17 @@ ShardedRelation BuildSharded(const storage::Relation& rel,
     storage::Relation block = std::move(blocks[size_t(s)]);
     // RouteInput keeps the input's row order, so a canonical input's
     // blocks arrive sorted: the check is the Pull receiver's verify
-    // pass, and only a non-canonical input pays a sort.
+    // pass, and only a non-canonical input pays a sort. A cached block
+    // is resident for as long as its plan lives, so it drops the
+    // slack routing appended it with either way.
     WallTimer verify;
     const bool sorted = block.IsSortedUnique();
     const double verify_s = verify.Seconds();
-    if (!sorted) block.SortAndDedup();
+    if (sorted) {
+      block.mutable_raw().shrink_to_fit();
+    } else {
+      block.SortAndDedup();
+    }
     ShardedRelation::Fragment& frag = sharded.per_server[size_t(s)];
     storage::Trie trie;
     if (!block.empty()) {

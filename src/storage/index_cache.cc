@@ -1,7 +1,6 @@
 #include "storage/index_cache.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 namespace adj::storage {
 
@@ -624,10 +623,7 @@ bool IndexCache::SweepOnceLocked() {
   // How many pins inside the cache share each source's control block:
   // a source is unreachable when the cache accounts for every one of
   // its remaining references.
-  // Hashed: every catalog write — including each prepare's execution
-  // and push-down catalogs — sweeps, so this runs per plan refresh.
-  std::unordered_map<const void*, long> cache_pins;
-  cache_pins.reserve(entries_.size());
+  std::map<const void*, long> cache_pins;
   for (const auto& [key, entry] : entries_) {
     if (entry->ready) ++cache_pins[entry->pin.get()];
   }
