@@ -126,101 +126,55 @@ storage::Relation FilterRows(const storage::Relation& rel,
   return out;
 }
 
-/// `rel` itself when sorted and duplicate-free, else a sorted copy.
-std::shared_ptr<const storage::Relation> Canonical(
-    std::shared_ptr<const storage::Relation> rel) {
-  if (rel->IsSortedUnique()) return rel;
-  storage::Relation sorted = *rel;
-  sorted.SortAndDedup();
-  return std::make_shared<const storage::Relation>(std::move(sorted));
-}
-
-/// The net delta taking sorted-unique `from` to sorted-unique `to`:
-/// one linear merge.
-storage::DeltaBatch DiffRows(const storage::Relation& from,
-                             const storage::Relation& to) {
-  storage::DeltaBatch delta;
-  delta.inserts = storage::Relation(to.schema());
-  delta.deletes = storage::Relation(from.schema());
-  uint64_t i = 0, j = 0;
-  while (i < from.size() || j < to.size()) {
-    int cmp;
-    if (i == from.size()) {
-      cmp = 1;
-    } else if (j == to.size()) {
-      cmp = -1;
-    } else {
-      cmp = storage::CompareRows(from.Row(i).data(), to.Row(j).data(),
-                                 from.arity());
-    }
-    if (cmp < 0) {
-      delta.deletes.Append(from.Row(i++));
-    } else if (cmp > 0) {
-      delta.inserts.Append(to.Row(j++));
-    } else {
-      ++i;
-      ++j;
-    }
-  }
-  return delta;
-}
-
 /// The filtered copy `name` of `base` under `filters` (see
-/// PushDownReuse). Without a prior copy in `reuse`, a full scan. With
-/// one, the prior copy itself while no row written since passes the
-/// selection; else the prior copy moved forward by the written rows
-/// that pass, its cached indexes linked to patch. The written rows come
-/// from the base's delta chain; when the chain no longer holds them
-/// (compacted, or the name re-created), a full scan diffed against the
-/// prior copy stands in for them.
+/// PushDownReuse). With a prior copy in `reuse`: the prior copy itself
+/// while no row written since passes the selection; else the prior
+/// copy moved forward by the written rows that pass, its cached indexes
+/// linked to patch. The written rows come from the base's delta chain.
+/// Without a prior copy, when the chain no longer holds them
+/// (compacted, or the name re-created), or when a prior copy that
+/// must merge is not canonical, a full scan.
 StatusOr<std::shared_ptr<const storage::Relation>> RefreshFilteredCopy(
     const storage::Catalog& db, const std::string& base_name,
     const std::shared_ptr<const storage::Relation>& base,
     const std::string& name, const Filters& filters,
     const PushDownReuse* reuse) {
-  if (reuse == nullptr || reuse->prev == nullptr ||
-      reuse->changed == nullptr || !reuse->prev->Contains(name)) {
+  auto full_scan = [&]() {
     return std::make_shared<const storage::Relation>(
         FilterRows(*base, filters));
+  };
+  if (reuse == nullptr || reuse->prev == nullptr ||
+      reuse->changed == nullptr || !reuse->prev->Contains(name)) {
+    return full_scan();
   }
   StatusOr<std::shared_ptr<const storage::Relation>> prior =
       reuse->prev->GetShared(name);
   if (!prior.ok() || reuse->changed->count(base_name) == 0) return prior;
+  if (reuse->versions == nullptr) return full_scan();
+  auto since = reuse->versions->find(base_name);
   std::vector<std::shared_ptr<const storage::DeltaBatch>> deltas;
-  bool chained = false;
-  if (reuse->versions != nullptr) {
-    auto since = reuse->versions->find(base_name);
-    chained = since != reuse->versions->end() &&
-              db.DeltasSince(base_name, since->second, &deltas) &&
-              !deltas.empty();
+  if (since == reuse->versions->end() ||
+      !db.DeltasSince(base_name, since->second, &deltas) || deltas.empty()) {
+    return full_scan();
+  }
+  // Net effect of the writes on the copy: the written rows that pass
+  // the selection (every delta row already changed the base).
+  storage::DeltaBatch net = *deltas.front();
+  for (size_t d = 1; d < deltas.size(); ++d) {
+    net = storage::ComposeDelta(net, *deltas[d]);
   }
   auto delta = std::make_shared<storage::DeltaBatch>();
-  std::shared_ptr<const storage::Relation> next;
-  if (chained) {
-    // Net effect of the writes on the copy: the written rows that pass
-    // the selection (every delta row already changed the base).
-    storage::DeltaBatch net = *deltas.front();
-    for (size_t d = 1; d < deltas.size(); ++d) {
-      net = storage::ComposeDelta(net, *deltas[d]);
-    }
-    delta->inserts = FilterRows(net.inserts, filters);
-    delta->deletes = FilterRows(net.deletes, filters);
-  } else {
-    next = Canonical(std::make_shared<const storage::Relation>(
-        FilterRows(*base, filters)));
-    *delta = DiffRows(*Canonical(*prior), *next);
-  }
+  delta->inserts = FilterRows(net.inserts, filters);
+  delta->deletes = FilterRows(net.deletes, filters);
   // No written row passes: the copy is unchanged, and keeping its
   // identity keeps every cached index and shard over it.
   if (delta->rows() == 0) return prior;
-  if (next == nullptr) {
-    std::shared_ptr<const storage::Relation> canon = Canonical(*prior);
-    storage::Relation merged(canon->schema());
-    storage::MergeDeltaRows(canon->raw(), canon->arity(),
-                            delta->inserts.raw(), delta->deletes.raw(),
-                            &merged.mutable_raw());
-    next = std::make_shared<const storage::Relation>(std::move(merged));
-  }
+  if (!(*prior)->IsSortedUnique()) return full_scan();
+  storage::Relation merged((*prior)->schema());
+  storage::MergeDeltaRows((*prior)->raw(), (*prior)->arity(),
+                          delta->inserts.raw(), delta->deletes.raw(),
+                          &merged.mutable_raw());
+  auto next = std::make_shared<const storage::Relation>(std::move(merged));
   // The prior copy's cached indexes and shards become patch sources.
   db.index_cache().LinkDelta(*prior, next, std::move(delta));
   return next;

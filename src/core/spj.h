@@ -98,7 +98,8 @@ StatusOr<PushedDown> PushDownSelections(const storage::Catalog& db,
 ///    passes the selection it aliases the prior copy as well; when
 ///    some do, it merges them into the prior copy and links that delta
 ///    into the index cache, so the copy's indexes and shards patch.
-///    Only a compacted or re-created chain falls back to a full scan.
+///    A compacted or re-created chain falls back to a full scan, whose
+///    copy is a new relation and so rebuilds its indexes.
 /// Aliasing preserves relation identity, which is what keeps cached
 /// indexes and shards bindable without rebuilds.
 struct PushDownReuse {

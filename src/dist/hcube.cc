@@ -224,13 +224,7 @@ ShardedRelation PatchSharded(const ShardedRelation& prev,
       (*build_seconds)[size_t(s)] += timer.Seconds();
     }
     ShardedRelation::Fragment& frag = sharded.per_server[size_t(s)];
-    // A Pull block's size re-prices only the rows next to the delta.
-    frag.wire_bytes =
-        variant == HCubeVariant::kPull && !old.block->empty() && !block.empty()
-            ? storage::PatchedRelationBlockSize(*old.block, old.wire_bytes,
-                                                block, ins[size_t(s)],
-                                                del[size_t(s)])
-            : WireBytes(variant, block, trie);
+    frag.wire_bytes = WireBytes(variant, block, trie);
     frag.block = std::make_shared<const storage::Relation>(std::move(block));
     frag.trie = std::make_shared<const storage::Trie>(std::move(trie));
   }

@@ -1,6 +1,5 @@
 #include "storage/catalog.h"
 
-#include <algorithm>
 #include <set>
 #include <utility>
 
@@ -95,10 +94,10 @@ Status Catalog::Apply(const WriteBatch& batch) {
         Entry& e = relations_[op.name];
         e.base = op.rel;
         e.deltas.clear();
-        e.delta_versions.clear();
         e.effective = op.rel;
         e.canonical = false;
         ++e.version;
+        e.chain_from = e.version;
         break;
       }
       case WriteBatch::Op::kAlias: {
@@ -112,7 +111,7 @@ Status Catalog::Apply(const WriteBatch& batch) {
         e = std::move(src);
         e.version = version + 1;
         // The chain came from `target`: none of it is this name's.
-        std::fill(e.delta_versions.begin(), e.delta_versions.end(), 0);
+        e.chain_from = e.version;
         break;
       }
     }
@@ -183,7 +182,6 @@ void Catalog::ApplyDelta(const std::string& name,
   e.effective = std::move(next);
   e.canonical = true;
   ++e.version;
-  e.delta_versions.push_back(e.version);
 
   uint64_t chain_rows = 0;
   for (const auto& d : e.deltas) chain_rows += d->rows();
@@ -194,7 +192,7 @@ void Catalog::ApplyDelta(const std::string& name,
     // base.
     e.base = e.effective;
     e.deltas.clear();
-    e.delta_versions.clear();
+    e.chain_from = e.version;
   }
 }
 
@@ -204,14 +202,11 @@ bool Catalog::DeltasSince(
   auto it = relations_.find(name);
   if (it == relations_.end() || since > it->second.version) return false;
   const Entry& e = it->second;
+  // Versions since+1 .. version are this name's own deltas, in order,
+  // at the tail of the chain.
   const uint64_t missing = e.version - since;
-  if (missing > e.deltas.size()) return false;
-  // Versions since+1 .. version must each be one of this name's own
-  // deltas, in order, at the tail of the chain.
+  if (since < e.chain_from || missing > e.deltas.size()) return false;
   const size_t first = e.deltas.size() - missing;
-  for (size_t i = first; i < e.deltas.size(); ++i) {
-    if (e.delta_versions[i] != since + 1 + (i - first)) return false;
-  }
   out->insert(out->end(), e.deltas.begin() + long(first), e.deltas.end());
   return true;
 }
@@ -291,9 +286,9 @@ Status Catalog::Restore(const std::string& name, EntryState state) {
   const uint64_t version = std::max(e.version, state.version) + 1;
   e.base = std::move(state.base);
   e.deltas = std::move(state.deltas);
-  e.delta_versions.assign(e.deltas.size(), 0);
   e.effective = std::move(state.effective);
   e.version = version;
+  e.chain_from = version;
   e.canonical = !e.deltas.empty();
   index_cache_->Sweep();
   return Status::OK();

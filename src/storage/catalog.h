@@ -149,12 +149,13 @@ class Catalog {
   struct Entry {
     std::shared_ptr<const Relation> base;
     std::vector<std::shared_ptr<const DeltaBatch>> deltas;
-    // The version each of `deltas` produced under this name; 0 for
-    // batches inherited by an alias or a restore, which DeltasSince
-    // cannot attribute.
-    std::vector<uint64_t> delta_versions;
     std::shared_ptr<const Relation> effective;
     uint64_t version = 0;
+    // The version this name's own delta chain starts at: the deltas
+    // after it are the tail of `deltas`. Create, Alias, Restore and
+    // compaction move it to the current version (an alias or a
+    // restore inherits batches DeltasSince cannot attribute).
+    uint64_t chain_from = 0;
     // Whether `effective` is known lexicographically sorted + unique
     // (true from the first tuple write on: merged output is canonical).
     bool canonical = false;

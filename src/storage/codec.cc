@@ -1,9 +1,6 @@
 #include "storage/codec.h"
 
 #include <functional>
-#include <set>
-
-#include "storage/write_batch.h"
 
 namespace adj::storage {
 
@@ -107,14 +104,6 @@ void WriteRelationBlock(const Relation& rel, Sink& sink) {
   }
 }
 
-/// Bytes row `r` of `rel` takes in its tuple block.
-uint64_t RowBytes(const Relation& rel, uint64_t r) {
-  ByteCounter sink;
-  WriteRow(r > 0 ? rel.Row(r - 1).data() : nullptr, rel.Row(r).data(),
-           rel.arity(), sink);
-  return sink.bytes;
-}
-
 template <class Sink>
 void WriteTrieBlock(const Trie& trie, Sink& sink) {
   const int k = trie.arity();
@@ -158,45 +147,6 @@ uint64_t EncodedRelationBlockSize(const Relation& rel) {
   ByteCounter sink;
   WriteRelationBlock(rel, sink);
   return sink.bytes;
-}
-
-uint64_t PatchedRelationBlockSize(const Relation& from, uint64_t from_bytes,
-                                  const Relation& to, const Relation& inserts,
-                                  const Relation& deletes) {
-  // A row's bytes depend only on it and its predecessor, so only rows
-  // whose predecessor changed re-price: in `from`, each removed row and
-  // its successor, and the row an insert lands before; in `to`, each
-  // inserted row and its successor, and the row that now follows a
-  // removed one. Sets, so a row next to two edits counts once.
-  const int k = from.arity();
-  std::set<uint64_t> gone, added;
-  auto present = [&](const Relation& rel, const Value* t, size_t* at) {
-    *at = RowLowerBound(rel.raw(), k, t);
-    return *at < rel.size() && CompareRows(rel.Row(*at).data(), t, k) == 0;
-  };
-  size_t i = 0, j = 0;
-  for (uint64_t d = 0; d < deletes.size(); ++d) {
-    if (!present(from, deletes.Row(d).data(), &i)) continue;  // no-op
-    gone.insert(i);
-    gone.insert(i + 1);
-    present(to, deletes.Row(d).data(), &j);
-    added.insert(j);
-  }
-  for (uint64_t d = 0; d < inserts.size(); ++d) {
-    if (present(from, inserts.Row(d).data(), &i)) continue;  // no-op
-    gone.insert(i);
-    present(to, inserts.Row(d).data(), &j);
-    added.insert(j);
-    added.insert(j + 1);
-  }
-  uint64_t bytes = from_bytes - VarintSize(from.size()) + VarintSize(to.size());
-  for (uint64_t r : gone) {
-    if (r < from.size()) bytes -= RowBytes(from, r);
-  }
-  for (uint64_t r : added) {
-    if (r < to.size()) bytes += RowBytes(to, r);
-  }
-  return bytes;
 }
 
 StatusOr<Relation> DecodeRelationBlock(const std::vector<uint8_t>& buf,

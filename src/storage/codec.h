@@ -35,13 +35,6 @@ std::vector<uint8_t> EncodeRelationBlock(const Relation& rel);
 /// EncodeRelationBlock(rel).size(), computed without building the
 /// buffer — what HCube's wire accounting needs.
 uint64_t EncodedRelationBlockSize(const Relation& rel);
-/// EncodedRelationBlockSize(to) in O(delta · log n), given the encoded
-/// size of `from`: `to` must be sorted-unique `from` with `inserts`
-/// added and `deletes` removed (MergeDeltaRows' result; delta rows
-/// that change nothing are ignored).
-uint64_t PatchedRelationBlockSize(const Relation& from, uint64_t from_bytes,
-                                  const Relation& to, const Relation& inserts,
-                                  const Relation& deletes);
 StatusOr<Relation> DecodeRelationBlock(const std::vector<uint8_t>& buf,
                                        const Schema& schema);
 

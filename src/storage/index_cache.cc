@@ -32,14 +32,6 @@ std::string RelSpec(const std::vector<int>& perm, const Schema& schema) {
 
 StatusOr<std::shared_ptr<const void>> IndexCache::GetOrBuild(
     const void* identity, const std::string& spec,
-    std::shared_ptr<const void> pin, const BuildFn& build,
-    IndexBuildStats* stats) {
-  return GetOrBuildTagged(identity, spec, std::move(pin), build, stats,
-                          /*meta=*/nullptr);
-}
-
-StatusOr<std::shared_ptr<const void>> IndexCache::GetOrBuild(
-    const void* identity, const std::string& spec,
     std::shared_ptr<const void> pin, const PatchFn& build,
     IndexBuildStats* stats) {
   const void* bound = pin.get();

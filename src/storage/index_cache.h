@@ -137,37 +137,30 @@ class IndexCache {
     bool patched = false;
     uint64_t delta_rows_merged = 0;
   };
-  using BuildFn = std::function<StatusOr<BuildResult>()>;
 
-  /// The generic get-or-build: returns the artifact under
-  /// (identity, spec), invoking `build` (outside the cache lock,
-  /// single-flight) when absent. `pin` must keep `identity` alive and
-  /// is what Sweep() uses to decide reachability. `stats`, when given,
-  /// receives one hit or build tick.
-  StatusOr<std::shared_ptr<const void>> GetOrBuild(
-      const void* identity, const std::string& spec,
-      std::shared_ptr<const void> pin, const BuildFn& build,
-      IndexBuildStats* stats = nullptr);
-
-  /// What an artifact derived from a bound index can be patched from
-  /// after a write: the artifact the same spec resolved to over the
-  /// pre-write version of that index, and the net delta between the
-  /// two versions with its rows permuted into the bound index's column
-  /// order (sorted, unique, disjoint — DeltaBatch's contract).
+  /// What a derived artifact can be patched from after a write: the
+  /// artifact the same spec resolved to over the pre-write version of
+  /// the bound index `pin` names, and the net delta between the two
+  /// versions with its rows permuted into that index's column order
+  /// (sorted, unique, disjoint — DeltaBatch's contract).
   struct PatchBase {
     std::shared_ptr<const void> artifact;
     DeltaBatch delta;
   };
   using PatchFn = std::function<StatusOr<BuildResult>(const PatchBase*)>;
 
-  /// GetOrBuild for artifacts derived from a bound index — `pin` is a
-  /// PreparedIndex GetPermuted returned and `identity` its `rel` (the
-  /// HCube shard layer keys its fragments this way). On a miss, `build`
-  /// receives the predecessor artifact under the same spec when
-  /// LinkDelta recorded one for the index's relation, so it can patch
-  /// at delta cost (setting BuildResult::patched); otherwise it gets
-  /// null and builds from scratch. Each recorded predecessor serves one
-  /// miss.
+  /// The generic get-or-build: returns the artifact under
+  /// (identity, spec), invoking `build` (outside the cache lock,
+  /// single-flight) when absent. `pin` must keep `identity` alive and
+  /// is what Sweep() uses to decide reachability. `stats`, when given,
+  /// receives one hit or build tick.
+  ///
+  /// When `pin` is a PreparedIndex GetPermuted returned (the HCube
+  /// shard layer keys its fragments this way) and LinkDelta recorded
+  /// the artifact the same spec resolved to over the index's previous
+  /// version, `build` receives it so it can patch at delta cost
+  /// (setting BuildResult::patched); otherwise it gets null and builds
+  /// from scratch. Each recorded predecessor serves one miss.
   StatusOr<std::shared_ptr<const void>> GetOrBuild(
       const void* identity, const std::string& spec,
       std::shared_ptr<const void> pin, const PatchFn& build,
@@ -246,7 +239,7 @@ class IndexCache {
   /// locate work and run copies — instead of re-permuting and
   /// re-sorting all of `next`; the trie patches likewise, and so does
   /// every artifact derived from a bound index of `prev` (HCube
-  /// shards, through the PatchFn GetOrBuild). Patch sources hold the
+  /// shards, through GetOrBuild). Patch sources hold the
   /// artifacts themselves, so they survive sweeps/evictions of
   /// `prev`'s entries and compaction of the chain; they die when
   /// consumed, superseded by a newer write, or when `next` itself
@@ -276,6 +269,8 @@ class IndexCache {
   Stats stats() const;
 
  private:
+  using BuildFn = std::function<StatusOr<BuildResult>()>;
+
   /// Structured key for permuted-layer entries, kept so the snapshot
   /// writer can enumerate payloads without parsing spec strings.
   struct PermutedMeta {

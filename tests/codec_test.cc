@@ -4,7 +4,6 @@
 #include "common/rng.h"
 #include "dataset/generators.h"
 #include "storage/codec.h"
-#include "storage/write_batch.h"
 
 namespace adj::storage {
 namespace {
@@ -181,55 +180,6 @@ TEST(EncodedSizeTest, SizesEqualEncodedBufferOnRandomInputs) {
   }
   const Trie empty;
   EXPECT_EQ(EncodedTrieBlockSize(empty), EncodeTrieBlock(empty).size());
-}
-
-TEST(EncodedSizeTest, PatchedSizeEqualsSizeOfMergedBlock) {
-  // PatchedRelationBlockSize re-prices only the rows next to a delta;
-  // it must land on the full size of the merged block — for edits at
-  // the ends, adjacent edits, and delta rows that change nothing
-  // (present inserts, absent tombstones).
-  Rng rng(37);
-  for (int round = 0; round < 200; ++round) {
-    const int arity = 1 + int(rng.Uniform(3));
-    std::vector<AttrId> attrs(static_cast<size_t>(arity));
-    for (int i = 0; i < arity; ++i) attrs[size_t(i)] = i;
-    const Schema schema(attrs);
-    const uint64_t domain = rng.Uniform(2) == 0 ? 5 : 300;
-    auto random_rel = [&](uint64_t rows) {
-      Relation rel(schema);
-      for (uint64_t r = 0; r < rows; ++r) {
-        std::vector<Value> row(static_cast<size_t>(arity));
-        for (Value& v : row) v = Value(rng.Uniform(domain));
-        rel.Append(row);
-      }
-      rel.SortAndDedup();
-      return rel;
-    };
-    const Relation from = random_rel(1 + rng.Uniform(80));
-    const Relation inserts = random_rel(rng.Uniform(8));
-    Relation deletes = random_rel(rng.Uniform(8));
-    for (uint64_t r = 0; r < from.size(); ++r) {
-      if (rng.Uniform(6) == 0) deletes.Append(from.Row(r));
-    }
-    deletes.SortAndDedup();
-    // Disjoint sides, as DeltaBatch requires.
-    Relation kept(schema);
-    for (uint64_t d = 0; d < deletes.size(); ++d) {
-      bool inserted = false;
-      for (uint64_t i = 0; i < inserts.size(); ++i) {
-        inserted = inserted || std::ranges::equal(deletes.Row(d),
-                                                  inserts.Row(i));
-      }
-      if (!inserted) kept.Append(deletes.Row(d));
-    }
-    Relation to(schema);
-    MergeDeltaRows(from.raw(), arity, inserts.raw(), kept.raw(),
-                   &to.mutable_raw());
-    EXPECT_EQ(PatchedRelationBlockSize(from, EncodedRelationBlockSize(from),
-                                       to, inserts, kept),
-              EncodedRelationBlockSize(to))
-        << "round " << round;
-  }
 }
 
 }  // namespace

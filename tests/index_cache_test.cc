@@ -206,7 +206,7 @@ TEST(IndexCacheTest, ConcurrentLookupsBuildOnce) {
     threads.emplace_back([&]() {
       auto artifact = db.index_cache().GetOrBuild(
           base.get(), "single-flight-test", base,
-          [&]() -> StatusOr<IndexCache::BuildResult> {
+          [&](const IndexCache::PatchBase*) -> StatusOr<IndexCache::BuildResult> {
             ++build_calls;
             // Give waiters time to pile onto the in-flight build.
             std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -244,14 +244,14 @@ TEST(IndexCacheTest, FailedBuildIsNotCachedAndRetries) {
   int calls = 0;
   auto failing = db.index_cache().GetOrBuild(
       base.get(), "retry-test", base,
-      [&]() -> StatusOr<IndexCache::BuildResult> {
+      [&](const IndexCache::PatchBase*) -> StatusOr<IndexCache::BuildResult> {
         ++calls;
         return Status::Internal("injected build failure");
       });
   EXPECT_FALSE(failing.ok());
   auto retried = db.index_cache().GetOrBuild(
       base.get(), "retry-test", base,
-      [&]() -> StatusOr<IndexCache::BuildResult> {
+      [&](const IndexCache::PatchBase*) -> StatusOr<IndexCache::BuildResult> {
         ++calls;
         auto index = std::make_shared<PreparedIndex>();
         index->rel = base;

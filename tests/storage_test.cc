@@ -283,5 +283,54 @@ TEST(CatalogTest, VersionBumpsOnlyTheWrittenName) {
   EXPECT_EQ(db.Names(), (std::vector<std::string>{"G", "G2", "G3"}));
 }
 
+TEST(CatalogTest, DeltasSinceReturnsOnlyTheNamesOwnChain) {
+  Catalog db;
+  db.set_delta_compact_threshold(4);
+  Relation r(Schema({0, 1}));
+  r.Append({1, 2});
+  ASSERT_TRUE(db.Apply(WriteBatch().Create("G", std::move(r))).ok());
+  std::vector<std::shared_ptr<const DeltaBatch>> deltas;
+  EXPECT_TRUE(db.DeltasSince("G", 1, &deltas));  // nothing written since
+  EXPECT_TRUE(deltas.empty());
+
+  // Two one-row writes: versions 2 and 3, oldest first.
+  ASSERT_TRUE(db.Apply(WriteBatch().Insert("G", {3, 4})).ok());
+  ASSERT_TRUE(db.Apply(WriteBatch().Insert("G", {5, 6})).ok());
+  EXPECT_TRUE(db.DeltasSince("G", 1, &deltas));
+  ASSERT_EQ(deltas.size(), 2u);
+  EXPECT_EQ(deltas[0]->inserts.Row(0)[0], 3u);
+  EXPECT_EQ(deltas[1]->inserts.Row(0)[0], 5u);
+  deltas.clear();
+  EXPECT_TRUE(db.DeltasSince("G", 2, &deltas));
+  EXPECT_EQ(deltas.size(), 1u);
+  deltas.clear();
+  EXPECT_FALSE(db.DeltasSince("G", 4, &deltas));  // a future version
+  EXPECT_FALSE(db.DeltasSince("missing", 0, &deltas));
+
+  // An alias inherits G's chain, but none of it was written under G2.
+  ASSERT_TRUE(db.Apply(WriteBatch().AliasRelation("G2", "G")).ok());
+  EXPECT_EQ(db.Inspect("G2")->deltas.size(), 2u);
+  EXPECT_FALSE(db.DeltasSince("G2", 0, &deltas));
+  ASSERT_TRUE(db.Apply(WriteBatch().Insert("G2", {7, 8})).ok());
+  EXPECT_TRUE(db.DeltasSince("G2", 1, &deltas));
+  EXPECT_EQ(deltas.size(), 1u);
+  deltas.clear();
+
+  // Two more rows compact G's chain: the versions before it are gone.
+  ASSERT_TRUE(
+      db.Apply(WriteBatch().Insert("G", {9, 10}).Insert("G", {13, 14})).ok());
+  EXPECT_TRUE(db.Inspect("G")->deltas.empty());
+  EXPECT_FALSE(db.DeltasSince("G", 3, &deltas));
+  EXPECT_TRUE(db.DeltasSince("G", 4, &deltas));
+
+  // A re-create starts a new chain.
+  ASSERT_TRUE(db.Apply(WriteBatch().Insert("G2", {11, 12})).ok());
+  Relation fresh(Schema({0, 1}));
+  fresh.Append({1, 2});
+  ASSERT_TRUE(db.Apply(WriteBatch().Create("G2", std::move(fresh))).ok());
+  EXPECT_FALSE(db.DeltasSince("G2", 2, &deltas));
+  EXPECT_TRUE(deltas.empty());
+}
+
 }  // namespace
 }  // namespace adj::storage

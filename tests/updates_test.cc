@@ -613,6 +613,7 @@ TEST(UpdatePropertyTest, MixedReadsAndWritesMatchRebuildOracle) {
     prepared.push_back(std::move(pq.value()));
   }
 
+  int chained_hits = 0;  // rounds whose written rows the copy merged
   for (int round = 0; round < 8; ++round) {
     // A random batch: mostly fresh inserts, some tombstones — biased
     // toward rows added by *earlier* batches so tombstone-of-delta-row
@@ -649,13 +650,19 @@ TEST(UpdatePropertyTest, MixedReadsAndWritesMatchRebuildOracle) {
     ASSERT_TRUE(db.Apply(batch).ok());
     ASSERT_EQ(ToEdges(**db.catalog().Get("G")), mirror)
         << "round " << round;
+    // A write that compacts the chain leaves no delta to filter: the
+    // selection query's filtered copy is then rescanned, a new relation
+    // whose indexes build.
+    const bool chained = !db.catalog().Inspect("G")->deltas.empty();
+    if (chained && round % 2 == 1) ++chained_hits;
 
     // The delta-refreshed prepared queries first — merge-on-read
     // instead of re-plan: the staleness check + Reprepare is exactly
     // what serve::Server does between writes — checked against a
     // rebuild-from-scratch oracle after every write. They run before
     // anything else reads the new version, so every index and shard
-    // they bind must come from a delta patch.
+    // they bind must come from a delta patch — except the selection
+    // query's after a compacting write.
     for (size_t q = 0; q < prepared.size(); ++q) {
       api::PreparedQuery& pq = prepared[q];
       const std::string& text = prepared_texts[q];
@@ -668,9 +675,11 @@ TEST(UpdatePropertyTest, MixedReadsAndWritesMatchRebuildOracle) {
       EXPECT_EQ(via_prepared.count(), RebuildOracle(mirror, text))
           << text << ": prepared rerun diverged at round " << round;
       EXPECT_TRUE(session.IsFresh(pq));
-      EXPECT_EQ(via_prepared.index_builds(), 0u)
-          << text << ": a delta refresh must patch, not rebuild, at round "
-          << round;
+      if (chained || text == kPath) {
+        EXPECT_EQ(via_prepared.index_builds(), 0u)
+            << text << ": a delta refresh must patch, not rebuild, at round "
+            << round;
+      }
     }
 
     // ...and all five strategies (cold session runs) against the same
@@ -687,6 +696,8 @@ TEST(UpdatePropertyTest, MixedReadsAndWritesMatchRebuildOracle) {
     EXPECT_EQ(triangle.count(), RebuildOracle(mirror, kTriangle))
         << "round " << round;
   }
+  EXPECT_GT(chained_hits, 0) << "no round merged written rows into the "
+                                "selection query's filtered copy";
 }
 
 }  // namespace
