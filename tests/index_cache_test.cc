@@ -206,7 +206,8 @@ TEST(IndexCacheTest, ConcurrentLookupsBuildOnce) {
     threads.emplace_back([&]() {
       auto artifact = db.index_cache().GetOrBuild(
           base.get(), "single-flight-test", base,
-          [&](const IndexCache::PatchBase*) -> StatusOr<IndexCache::BuildResult> {
+          [&](const IndexCache::PatchBase*)
+              -> StatusOr<IndexCache::BuildResult> {
             ++build_calls;
             // Give waiters time to pile onto the in-flight build.
             std::this_thread::sleep_for(std::chrono::milliseconds(20));
