@@ -406,6 +406,10 @@ StatusOr<ExecutionContext> Engine::PrepareExecution(
   StatusOr<std::vector<exec::BoundAtom>> bound =
       exec::BindAtomsForOrder(ctx.query, ctx.db, ctx.order, &pin_stats);
   if (!bound.ok()) return bound.status();
+  StatusOr<dist::ShareVector> share =
+      exec::OptimalShares(ctx.query, *bound, options.cluster);
+  if (!share.ok()) return share.status();
+  ctx.share = std::move(*share);
   // Delta patches applied while preparing are the write's amortized
   // index cost — surfaced on the first run, like the bag cost above.
   // The rows-layer merge may be triggered by bag materialization (its
@@ -444,6 +448,7 @@ StatusOr<exec::RunReport> Engine::RunPrepared(const ExecutionContext& ctx,
     // Final one-round join of the rewritten query under the plan order.
     dist::Cluster cluster(options.cluster);
     exec::HCubeJParams params;
+    params.share = ctx.share;
     params.variant = options.hcube_variant;
     params.limits = options.limits;
     StatusOr<exec::HCubeJOutput> run =

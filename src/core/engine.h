@@ -8,6 +8,7 @@
 
 #include "common/status.h"
 #include "core/options.h"
+#include "dist/share_vector.h"
 #include "exec/run_report.h"
 #include "optimizer/adj_optimizer.h"
 #include "optimizer/query_plan.h"
@@ -53,6 +54,11 @@ struct ExecutionContext {
   /// the first run and kept alive through these same pins).
   std::vector<std::shared_ptr<const storage::PreparedIndex>> pinned_indexes;
   uint64_t pinned_index_bytes = 0;
+  /// The final join's share vector (Eq. 3), solved once from the sizes
+  /// of the pinned indexes on the prepare's cluster: it depends on
+  /// nothing a run can change, and a write re-solves it by building a
+  /// new context. RunPrepared's options must keep that cluster.
+  dist::ShareVector share;
   /// Tuple payload of the bag relations this context materialized.
   uint64_t bag_bytes = 0;
 

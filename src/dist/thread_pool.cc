@@ -10,6 +10,12 @@ thread_local bool on_pool_thread = false;
 
 bool OnPoolThread() { return on_pool_thread; }
 
+int FanOutThreads(uint64_t tasks) {
+  if (on_pool_thread) return 1;
+  const uint64_t cores = std::max(1u, std::thread::hardware_concurrency());
+  return int(std::max<uint64_t>(1, std::min(tasks, cores)));
+}
+
 ThreadPool::ThreadPool(int num_threads) {
   const int n = std::max(1, num_threads);
   workers_.reserve(size_t(n));

@@ -2,8 +2,10 @@
 #define ADJ_DIST_THREAD_POOL_H_
 
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -75,9 +77,17 @@ class ThreadPool {
 void RunTasks(int threads, const std::vector<std::function<void()>>& tasks);
 
 /// True on a ThreadPool worker (which includes RunTasks' threads).
-/// Code that could fan out further — the planner's sampling passes —
-/// stays serial there: the pool already spreads work over the cores.
+/// Code that could fan out further — the planner's sampling passes,
+/// the per-server joins — stays serial there: the pool already spreads
+/// work over the cores.
 bool OnPoolThread();
+
+/// Threads for a fan-out of `tasks` independent tasks started on this
+/// thread: min(tasks, hardware threads), or 1 on a pool worker (a
+/// serve worker, a RunBatch query), where concurrent callers already
+/// share the cores. The one thread rule of sampling passes and of
+/// exec::RunHCubeJ's per-server joins.
+int FanOutThreads(uint64_t tasks = std::numeric_limits<uint64_t>::max());
 
 }  // namespace adj::dist
 

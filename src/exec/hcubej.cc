@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <memory>
 #include <set>
 
 #include "common/timer.h"
@@ -42,6 +43,20 @@ StatusOr<std::vector<BoundAtom>> BindAtomsForOrder(
   return bound;
 }
 
+StatusOr<dist::ShareVector> OptimalShares(
+    const query::Query& q, const std::vector<BoundAtom>& bound,
+    const dist::ClusterConfig& config) {
+  std::vector<optimizer::ShareInput> inputs;
+  for (size_t i = 0; i < bound.size(); ++i) {
+    optimizer::ShareInput in;
+    in.schema = q.atom(int(i)).schema.Mask();
+    in.tuples = bound[i].rel().size();
+    in.bytes = bound[i].rel().SizeBytes();
+    inputs.push_back(in);
+  }
+  return optimizer::OptimizeShares(inputs, q.num_attrs(), config);
+}
+
 StatusOr<HCubeJOutput> RunHCubeJ(const query::Query& q,
                                  const storage::Catalog& db,
                                  const query::AttributeOrder& order,
@@ -59,16 +74,8 @@ StatusOr<HCubeJOutput> RunHCubeJ(const query::Query& q,
   // Shares: use the provided vector or solve Eq. (3).
   dist::ShareVector share = params.share;
   if (share.p.empty()) {
-    std::vector<optimizer::ShareInput> inputs;
-    for (size_t i = 0; i < bound->size(); ++i) {
-      optimizer::ShareInput in;
-      in.schema = q.atom(int(i)).schema.Mask();
-      in.tuples = (*bound)[i].rel().size();
-      in.bytes = (*bound)[i].rel().SizeBytes();
-      inputs.push_back(in);
-    }
     StatusOr<dist::ShareVector> opt =
-        optimizer::OptimizeShares(inputs, q.num_attrs(), cluster->config());
+        OptimalShares(q, *bound, cluster->config());
     if (!opt.ok()) return opt.status();
     share = std::move(opt.value());
   }
@@ -106,81 +113,92 @@ StatusOr<HCubeJOutput> RunHCubeJ(const query::Query& q,
   out.report.comp_s += shuffle->build_seconds_max;
   out.report.overhead_s = cluster->config().net.stage_overhead_s;
 
-  // Per-server Leapfrog. Servers are timed individually so comp_s is
-  // the parallel makespan; with worker_threads > 1 they also *run*
-  // concurrently (each writing its own slot, merged in server order).
+  // Per-server Leapfrog, one server per task. Every server's Leapfrog
+  // (and its HCubeJ+Cache intersection cache) is bound here, on the
+  // calling thread, so the workers only run joins and their threads
+  // grow no malloc arenas of their own. Each server is timed in its
+  // thread's CPU time, so comp_s stays the makespan of the modeled
+  // cluster whatever the thread count; results land in per-server
+  // slots merged in server order, so counts, per-level stats and
+  // collected output do not depend on it either.
   const bool collect = params.collect_output;
-  if (collect) {
-    out.results = storage::Relation(storage::Schema(
-        std::vector<AttrId>(order.begin(), order.end())));
-  }
-  struct ServerResult {
+  const storage::Schema out_schema(
+      std::vector<AttrId>(order.begin(), order.end()));
+  if (collect) out.results = storage::Relation(out_schema);
+  struct ServerJoin {
+    std::vector<wcoj::JoinInput> inputs;
+    std::unique_ptr<wcoj::IntersectionCache> cache;
+    wcoj::Leapfrog leapfrog;
     Status status;
     uint64_t count = 0;
     wcoj::JoinStats stats;
+    double cpu_s = 0.0;
     storage::Relation results;
-    bool ran = false;
+    wcoj::EmitFn emit;
   };
-  std::vector<ServerResult> per_server(cluster->num_servers());
+  // Sized once: each Leapfrog borrows its slot's inputs by address.
+  std::vector<ServerJoin> servers(size_t(cluster->num_servers()));
   std::vector<std::function<void()>> tasks;
   for (int s = 0; s < cluster->num_servers(); ++s) {
-    tasks.push_back([&, s]() {
-      ServerResult& slot = per_server[size_t(s)];
-      const dist::LocalShard& shard = cluster->shard(s);
-      std::vector<wcoj::JoinInput> inputs;
-      bool any_empty = false;
-      for (size_t a = 0; a < shard.tries.size(); ++a) {
-        if (shard.tries[a]->empty()) any_empty = true;
-        inputs.push_back(
-            wcoj::JoinInput{shard.tries[a].get(), shard.attrs[a]});
-      }
-      if (any_empty) return;  // this hypercube produces nothing
-      slot.ran = true;
-      wcoj::EmitFn emit_fn;
-      if (collect) {
-        slot.results = storage::Relation(storage::Schema(
-            std::vector<AttrId>(order.begin(), order.end())));
-        emit_fn = [&slot](std::span<const Value> tuple) {
-          slot.results.Append(tuple);
-        };
-      }
-      StatusOr<uint64_t> count = [&]() -> StatusOr<uint64_t> {
-        if (params.use_cache) {
-          // Cache capacity = memory HCube storage left unused, split
-          // into cached values (vals + idxs at sizeof(Value) each).
-          const uint64_t mem = cluster->config().memory_per_server_bytes;
-          const uint64_t free_bytes =
-              shard.resident_bytes >= mem ? 0 : mem - shard.resident_bytes;
-          wcoj::IntersectionCache cache(free_bytes / sizeof(Value));
-          return wcoj::LeapfrogJoin(inputs, order,
-                                    collect ? &emit_fn : nullptr,
-                                    &slot.stats, params.limits, {}, &cache);
-        }
-        return wcoj::LeapfrogJoin(inputs, order,
-                                  collect ? &emit_fn : nullptr, &slot.stats,
-                                  params.limits);
-      }();
-      if (!count.ok()) {
+    ServerJoin& slot = servers[size_t(s)];
+    const dist::LocalShard& shard = cluster->shard(s);
+    bool any_empty = false;
+    for (size_t a = 0; a < shard.tries.size(); ++a) {
+      if (shard.tries[a]->empty()) any_empty = true;
+      slot.inputs.push_back(
+          wcoj::JoinInput{shard.tries[a].get(), shard.attrs[a]});
+    }
+    if (any_empty) continue;  // this hypercube produces nothing
+    if (params.use_cache) {
+      // Cache capacity = memory HCube storage left unused, split into
+      // cached values (vals + idxs at sizeof(Value) each).
+      const uint64_t mem = cluster->config().memory_per_server_bytes;
+      const uint64_t free_bytes =
+          shard.resident_bytes >= mem ? 0 : mem - shard.resident_bytes;
+      slot.cache = std::make_unique<wcoj::IntersectionCache>(
+          free_bytes / sizeof(Value));
+    }
+    StatusOr<wcoj::Leapfrog> leapfrog = wcoj::Leapfrog::Bind(
+        slot.inputs, order, params.limits, slot.cache.get());
+    if (!leapfrog.ok()) {
+      slot.status = leapfrog.status();
+      continue;
+    }
+    slot.leapfrog = std::move(*leapfrog);
+    slot.stats.tuples_at_level.assign(order.size(), 0);
+    if (collect) {
+      slot.results = storage::Relation(out_schema);
+      slot.emit = [&slot](std::span<const Value> tuple) {
+        slot.results.Append(tuple);
+      };
+    }
+    tasks.push_back([&slot, collect] {
+      const ThreadCpuTimer cpu;
+      StatusOr<uint64_t> count =
+          slot.leapfrog.Run(collect ? &slot.emit : nullptr, &slot.stats);
+      slot.cpu_s = cpu.Seconds();
+      if (count.ok()) {
+        slot.count = *count;
+      } else {
         slot.status = count.status();
-        return;
       }
-      slot.count = *count;
     });
   }
-  dist::RunTasks(params.worker_threads, tasks);
+  const int threads = params.worker_threads > 0
+                          ? params.worker_threads
+                          : dist::FanOutThreads(tasks.size());
+  dist::RunTasks(threads, tasks);
 
   double max_join_s = 0.0;
   wcoj::JoinStats all_stats;
   uint64_t total = 0;
-  for (int s = 0; s < cluster->num_servers(); ++s) {
-    ServerResult& slot = per_server[size_t(s)];
-    if (!slot.ran) continue;
+  for (ServerJoin& slot : servers) {
     if (!slot.status.ok()) {
       out.report.status = slot.status;
       return out;
     }
     total += slot.count;
-    max_join_s = std::max(max_join_s, slot.stats.seconds);
+    max_join_s = std::max(max_join_s, slot.cpu_s);
     all_stats.Merge(slot.stats);
     if (collect) {
       for (uint64_t r = 0; r < slot.results.size(); ++r) {

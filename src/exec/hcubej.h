@@ -49,11 +49,20 @@ struct HCubeJParams {
   /// When true, result tuples are gathered into `HCubeJOutput::results`
   /// (used by pre-computation); otherwise results are only counted.
   bool collect_output = false;
-  /// Host threads used to run the simulated servers concurrently.
-  /// 1 (default) runs them sequentially — the right setting for cost
-  /// measurements (per-server timings stay undistorted).
-  int worker_threads = 1;
+  /// Host threads running the simulated servers' joins. 0 (default)
+  /// chooses dist::FanOutThreads(servers with work): one per server up
+  /// to the host's cores, or 1 on a pool worker. 1 runs them inline, in
+  /// server order. Per-server times are thread CPU time, so comp_s does
+  /// not depend on this setting.
+  int worker_threads = 0;
 };
+
+/// Solves Eq. (3) for `q` over its bound atoms (`bound[i]` binds
+/// atom i) on a cluster configured as `config`: the share vector
+/// RunHCubeJ uses when HCubeJParams::share is empty.
+StatusOr<dist::ShareVector> OptimalShares(const query::Query& q,
+                                          const std::vector<BoundAtom>& bound,
+                                          const dist::ClusterConfig& config);
 
 struct HCubeJOutput {
   RunReport report;

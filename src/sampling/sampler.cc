@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cmath>
 #include <functional>
-#include <thread>
 
 #include "common/rng.h"
 #include "common/timer.h"
@@ -12,10 +11,7 @@
 
 namespace adj::sampling {
 
-int SamplingThreads() {
-  if (dist::OnPoolThread()) return 1;
-  return int(std::max(1u, std::thread::hardware_concurrency()));
-}
+int SamplingThreads() { return dist::FanOutThreads(); }
 
 uint64_t ChernoffSampleCount(double p, double delta) {
   if (p <= 0 || delta <= 0 || delta >= 1) return 1;
@@ -95,7 +91,7 @@ StatusOr<SampleEstimate> SampleCardinality(const query::Query& q,
   const uint64_t k = std::max<uint64_t>(1, options.num_samples);
   std::vector<Value> values(k);
   for (Value& v : values) v = val_a[rng.Uniform(val_a.size())];
-  const int threads = int(std::min<uint64_t>(uint64_t(SamplingThreads()), k));
+  const int threads = dist::FanOutThreads(k);
   // Every worker's Leapfrog and stats are set up here, on the calling
   // thread: the workers' runs then allocate nothing, so their threads
   // never grow heaps of their own, and a bind error surfaces before any

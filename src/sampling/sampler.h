@@ -31,10 +31,11 @@ struct SamplerOptions {
   double max_total_seconds = std::numeric_limits<double>::infinity();
 };
 
-/// Worker threads of a sampling pass started on this thread: the
-/// host's hardware threads, or 1 on a dist::ThreadPool worker (a serve
-/// worker, a RunBatch query), where concurrent planners already share
-/// the cores. It does not depend on the simulated cluster size.
+/// Worker threads of a sampling pass started on this thread:
+/// dist::FanOutThreads() — the host's hardware threads, or 1 on a
+/// dist::ThreadPool worker (a serve worker, a RunBatch query), where
+/// concurrent planners already share the cores. It does not depend on
+/// the simulated cluster size.
 int SamplingThreads();
 
 /// Outcome of one sampling-based estimation run (Sec. IV).

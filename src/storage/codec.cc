@@ -94,11 +94,12 @@ void WriteRow(const Value* prev, const Value* row, int k, Sink& sink) {
 template <class Sink>
 void WriteRelationBlock(const Relation& rel, Sink& sink) {
   const int k = rel.arity();
+  const uint64_t rows = rel.size();  // a division: read it once
   sink.Varint(uint64_t(k));
-  sink.Varint(rel.size());
+  sink.Varint(rows);
+  const Value* row = rel.raw().data();
   const Value* prev = nullptr;
-  for (uint64_t r = 0; r < rel.size(); ++r) {
-    const Value* row = rel.Row(r).data();
+  for (uint64_t r = 0; r < rows; ++r, row += k) {
     WriteRow(prev, row, k, sink);
     prev = row;
   }

@@ -12,6 +12,8 @@
 #include "core/engine.h"
 #include "core/spj.h"
 #include "dataset/generators.h"
+#include "exec/hcubej.h"
+#include "optimizer/share_optimizer.h"
 #include "query/query.h"
 #include "wcoj/naive_join.h"
 
@@ -121,6 +123,72 @@ TEST(PrepareExecutionTest, ForcedBagIsMaterializedOnceAndChargedOnce) {
   ASSERT_TRUE(oneshot->ok()) << oneshot->status;
   EXPECT_EQ(oneshot->output_count, oracle->size());
   EXPECT_GT(oneshot->precompute_s, 0.0);
+}
+
+/// Eq. (3) solved afresh over the relations `ctx` pins (one pinned
+/// index per atom of the rewritten query, in atom order).
+dist::ShareVector FreshShares(const ExecutionContext& ctx,
+                              const EngineOptions& options) {
+  std::vector<optimizer::ShareInput> inputs;
+  for (int i = 0; i < ctx.query.num_atoms(); ++i) {
+    const storage::Relation& rel = *ctx.pinned_indexes[size_t(i)]->rel;
+    inputs.push_back({ctx.query.atom(i).schema.Mask(), rel.size(),
+                      rel.SizeBytes()});
+  }
+  StatusOr<dist::ShareVector> share = optimizer::OptimizeShares(
+      inputs, ctx.query.num_attrs(), options.cluster);
+  EXPECT_TRUE(share.ok()) << share.status();
+  return share.ok() ? *share : dist::ShareVector{};
+}
+
+TEST(PrepareExecutionTest, SharesSolvedOncePerContext) {
+  storage::Catalog db = SmallCatalog(5, 60, 300);
+  Engine engine(&db);
+  const EngineOptions options = FastOptions();
+  query::Query q = *query::Query::Parse(kTriangle);
+  StatusOr<PlanResult> planned = engine.Plan(q, options);
+  ASSERT_TRUE(planned.ok()) << planned.status();
+  StatusOr<ExecutionContext> ctx =
+      engine.PrepareExecution(q, planned->plan, options);
+  ASSERT_TRUE(ctx.ok()) << ctx.status();
+  ASSERT_EQ(ctx->pinned_indexes.size(), size_t(ctx->query.num_atoms()));
+  EXPECT_EQ(ctx->share.p, FreshShares(*ctx, options).p);
+
+  // Runs shuffle under the context's vector rather than re-solving:
+  // swap in another valid vector and the run's traffic follows it.
+  dist::ShareVector skewed;
+  skewed.p.assign(size_t(q.num_attrs()), 1);
+  skewed.p[0] = 4;
+  ASSERT_NE(ctx->share.p, skewed.p);
+  ctx->share = skewed;
+  StatusOr<exec::RunReport> run = engine.RunPrepared(*ctx, options);
+  ASSERT_TRUE(run.ok() && run->ok());
+  dist::Cluster cluster(options.cluster);
+  exec::HCubeJParams params;
+  params.share = skewed;
+  StatusOr<exec::HCubeJOutput> direct =
+      exec::RunHCubeJ(ctx->query, ctx->db, ctx->order, params, &cluster);
+  ASSERT_TRUE(direct.ok() && direct->report.ok());
+  EXPECT_EQ(direct->share_used.p, skewed.p);
+  EXPECT_EQ(run->comm.tuple_copies, direct->report.comm.tuple_copies);
+  EXPECT_EQ(run->output_count, direct->report.output_count);
+
+  // A write that grows |G| re-solves: the new context (what Reprepare
+  // builds) holds the vector for the new sizes.
+  Rng rng(6);
+  const storage::Relation extra = dataset::ErdosRenyi(200, 2000, rng);
+  storage::WriteBatch grow;
+  for (uint64_t r = 0; r < extra.size(); ++r) {
+    const std::span<const Value> row = extra.Row(r);
+    grow.Insert("G", std::vector<Value>(row.begin(), row.end()));
+  }
+  ASSERT_TRUE(db.Apply(grow).ok());
+  StatusOr<ExecutionContext> after =
+      engine.PrepareExecution(q, planned->plan, options);
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_GT(after->pinned_indexes[0]->rel->size(),
+            ctx->pinned_indexes[0]->rel->size());
+  EXPECT_EQ(after->share.p, FreshShares(*after, options).p);
 }
 
 TEST(PrepareExecutionTest, ContextOutlivesSourceCatalog) {
