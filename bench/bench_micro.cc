@@ -79,7 +79,7 @@ void BM_LeapfrogTriangle(benchmark::State& state) {
 }
 BENCHMARK(BM_LeapfrogTriangle)->Arg(1 << 13)->Arg(1 << 15);
 
-void BM_CachedLeapfrogTriangle(benchmark::State& state) {
+void BM_LeapfrogTriangleWithCache(benchmark::State& state) {
   storage::Catalog db = GraphCatalog(state.range(0));
   auto q = query::MakeBenchmarkQuery(1);
   query::AttributeOrder order = {0, 1, 2};
@@ -98,7 +98,7 @@ void BM_CachedLeapfrogTriangle(benchmark::State& state) {
     benchmark::DoNotOptimize(count.ok() ? *count : 0);
   }
 }
-BENCHMARK(BM_CachedLeapfrogTriangle)->Arg(1 << 13)->Arg(1 << 15);
+BENCHMARK(BM_LeapfrogTriangleWithCache)->Arg(1 << 13)->Arg(1 << 15);
 
 void BM_HCubeShuffle(benchmark::State& state) {
   storage::Catalog db = GraphCatalog(1 << 15);

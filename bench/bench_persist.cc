@@ -11,8 +11,8 @@
 //   3. the first warm run reports index_builds == 0 and a nonzero
 //      index_mmap_loaded count, with the same answer as the cold run.
 //   4. the snapshot is at most 3x the catalog's relation bytes and
-//      stores at least one trie level block-compressed: each trie
-//      level is written once, in its execution form (raw or
+//      stores at least one trie level block-compressed: every array
+//      is written once, in its execution form (trie levels raw or
 //      block-compressed), and a return to dual encoding (raw levels
 //      plus a compressed mirror, ~3.5x here) would cross the bound.
 //

@@ -27,13 +27,6 @@ struct QueryPlan {
     return est_precompute_s + est_comm_s + est_comp_s;
   }
 
-  bool AnyPrecompute() const {
-    for (bool b : precompute) {
-      if (b) return true;
-    }
-    return false;
-  }
-
   std::string ToString(const query::Query& q) const;
 };
 

@@ -87,43 +87,6 @@ StatusOr<Schema> GetSchema(const std::vector<uint8_t>& buf, size_t* pos) {
 }
 
 // ---------------------------------------------------------------------------
-// Dictionary codec for (possibly unsorted) catalog relations: sorted
-// distinct values as a delta+vbyte run, then every cell as a varint
-// dictionary rank. Order-robust, unlike the shared-prefix row codec
-// the shuffle uses for sorted blocks.
-
-void DictEncodeRows(std::span<const Value> rows, std::vector<uint8_t>* out) {
-  std::vector<Value> dict(rows.begin(), rows.end());
-  std::sort(dict.begin(), dict.end());
-  dict.erase(std::unique(dict.begin(), dict.end()), dict.end());
-  storage::EncodeSortedValues(dict, out);
-  storage::PutVarint(rows.size(), out);
-  for (Value v : rows) {
-    const auto it = std::lower_bound(dict.begin(), dict.end(), v);
-    storage::PutVarint(static_cast<uint64_t>(it - dict.begin()), out);
-  }
-}
-
-StatusOr<std::vector<Value>> DictDecodeRows(const std::vector<uint8_t>& buf) {
-  size_t pos = 0;
-  std::vector<Value> dict;
-  ADJ_RETURN_IF_ERROR(storage::DecodeSortedValues(buf, &pos, &dict));
-  StatusOr<uint64_t> count = storage::GetVarint(buf, &pos);
-  if (!count.ok()) return count.status();
-  std::vector<Value> rows;
-  rows.reserve(*count);
-  for (uint64_t i = 0; i < *count; ++i) {
-    StatusOr<uint64_t> rank = storage::GetVarint(buf, &pos);
-    if (!rank.ok()) return rank.status();
-    if (*rank >= dict.size()) {
-      return Status::OutOfRange("dictionary rank out of range");
-    }
-    rows.push_back(dict[*rank]);
-  }
-  return rows;
-}
-
-// ---------------------------------------------------------------------------
 // Little-endian fixed-width IO for header/footer.
 
 void PutFixed32(uint32_t v, std::vector<uint8_t>* out) {
@@ -278,16 +241,9 @@ StatusOr<WriteStats> SnapshotWriter::Write(const storage::Catalog& catalog,
     storage::PutVarint(rel->size(), &manifest);
     const uint32_t rows_seg =
         builder.AddSegment(SegmentKind::kRelationRows, BytesOf(rel->raw()));
-    stats.raw_bytes += rel->SizeBytes();
-    std::vector<uint8_t> dict;
-    DictEncodeRows(rel->raw(), &dict);
-    const uint32_t dict_seg =
-        builder.AddSegment(SegmentKind::kRelationDict, dict);
-    stats.compressed_bytes += dict.size();
     storage::PutVarint(rows_seg, &manifest);
-    storage::PutVarint(uint64_t{dict_seg} + 1, &manifest);
-    ++stats.relations;
   }
+  stats.relations = phys.size();
   // Per-name entry state: base + effective physical indexes, version,
   // and the pending delta chain with its rows inline — chains are
   // bounded by the compaction threshold, so this stays a small varint
@@ -304,12 +260,10 @@ StatusOr<WriteStats> SnapshotWriter::Write(const storage::Catalog& catalog,
       for (const Relation* side : {&delta->inserts, &delta->deletes}) {
         storage::PutVarint(side->size(), &manifest);
         for (Value v : side->raw()) storage::PutVarint(v, &manifest);
-        stats.delta_rows += side->size();
       }
-      ++stats.delta_batches;
     }
-    ++stats.names;
   }
+  stats.names = entries.size();
 
   // Resident permuted-index payloads whose base is a catalog relation
   // (the cache may also hold indexes over execution-catalog bags and
@@ -332,13 +286,7 @@ StatusOr<WriteStats> SnapshotWriter::Write(const storage::Catalog& catalog,
     storage::PutVarint(p.rows->size(), &manifest);
     const uint32_t rows_seg =
         builder.AddSegment(SegmentKind::kPayloadRows, BytesOf(p.rows->raw()));
-    stats.raw_bytes += p.rows->SizeBytes();
-    const std::vector<uint8_t> block = storage::EncodeRelationBlock(*p.rows);
-    const uint32_t block_seg =
-        builder.AddSegment(SegmentKind::kPayloadBlock, block);
-    stats.compressed_bytes += block.size();
     storage::PutVarint(rows_seg, &manifest);
-    storage::PutVarint(uint64_t{block_seg} + 1, &manifest);
     storage::PutVarint(p.trie != nullptr ? 1 : 0, &manifest);
     if (p.trie != nullptr) {
       const Trie& t = *p.trie;
@@ -348,7 +296,7 @@ StatusOr<WriteStats> SnapshotWriter::Write(const storage::Catalog& catalog,
         storage::PutVarint(t.level_compressed(l) ? 1 : 0, &manifest);
         if (t.level_compressed(l)) {
           // The blockcodec arrays are the stored form — mapped in
-          // place on open, no raw copy, no mirror.
+          // place on open, no raw copy.
           const storage::blockcodec::CompressedLevelView cv =
               t.CompressedView(l);
           const uint32_t mseg = builder.AddSegment(
@@ -360,34 +308,27 @@ StatusOr<WriteStats> SnapshotWriter::Write(const storage::Catalog& catalog,
           storage::PutVarint(mseg, &manifest);
           storage::PutVarint(sseg, &manifest);
           storage::PutVarint(bseg, &manifest);
-          stats.raw_bytes += cv.mins.size_bytes() + cv.starts.size_bytes() +
-                             cv.bytes.size();
           ++stats.compressed_levels;
         } else {
           std::span<const Value> vals = t.LevelSpan(l);
           const uint32_t vseg =
               builder.AddSegment(SegmentKind::kTrieValues, BytesOf(vals));
           storage::PutVarint(vseg, &manifest);
-          stats.raw_bytes += vals.size_bytes();
         }
         if (l + 1 < t.arity()) {
           const uint32_t cseg =
               builder.AddSegment(SegmentKind::kTrieChild, BytesOf(kids));
           storage::PutVarint(uint64_t{cseg} + 1, &manifest);
-          stats.raw_bytes += kids.size_bytes();
         } else {
           storage::PutVarint(0, &manifest);
         }
       }
-      ++stats.tries;
     }
     storage::PutVarint(p.bindings.size(), &manifest);
     for (const auto& b : p.bindings) {
       storage::PutVarint(b.with_trie ? 1 : 0, &manifest);
       PutSchema(b.schema, &manifest);
-      ++stats.bindings;
     }
-    ++stats.payloads;
   }
 
   const uint32_t manifest_seg =
@@ -544,15 +485,6 @@ StatusOr<SnapshotReader> SnapshotReader::Open(const std::string& path) {
     StatusOr<uint64_t> seg = get_seg("relation rows segment");
     if (!seg.ok()) return seg.status();
     rel.rows_seg = static_cast<uint32_t>(*seg);
-    StatusOr<uint64_t> dict = get("relation dict segment");
-    if (!dict.ok()) return dict.status();
-    if (*dict != 0) {
-      if (*dict - 1 >= num_segments) {
-        return Status::InvalidArgument(
-            "snapshot manifest: dict segment out of range");
-      }
-      rel.dict_seg = static_cast<int64_t>(*dict - 1);
-    }
     const uint64_t expect =
         rel.row_count * uint64_t(rel.schema.arity()) * sizeof(Value);
     if (reader.segments_[rel.rows_seg].size != expect) {
@@ -651,15 +583,6 @@ StatusOr<SnapshotReader> SnapshotReader::Open(const std::string& path) {
         p.row_count * uint64_t(arity) * sizeof(Value)) {
       return Status::InvalidArgument(
           "snapshot payload segment size disagrees with row count");
-    }
-    StatusOr<uint64_t> block = get("payload block segment");
-    if (!block.ok()) return block.status();
-    if (*block != 0) {
-      if (*block - 1 >= num_segments) {
-        return Status::InvalidArgument(
-            "snapshot manifest: block segment out of range");
-      }
-      p.block_seg = static_cast<int64_t>(*block - 1);
     }
     StatusOr<uint64_t> has_trie = get("trie flag");
     if (!has_trie.ok()) return has_trie.status();
@@ -771,11 +694,9 @@ StatusOr<std::span<const uint32_t>> SnapshotReader::SegmentOffsets(
       bytes->size() / sizeof(uint32_t));
 }
 
-StatusOr<std::vector<Trie::MappedLevel>> SnapshotReader::TrieLevels(
-    const Payload& p, uint64_t* mapped_bytes) const {
+StatusOr<Trie> SnapshotReader::MapTrie(const Payload& p) const {
   std::vector<Trie::MappedLevel> levels;
   levels.reserve(p.levels.size());
-  uint64_t bytes = 0;
   for (const TrieLevelRef& ref : p.levels) {
     Trie::MappedLevel level;
     if (ref.compressed) {
@@ -791,23 +712,25 @@ StatusOr<std::vector<Trie::MappedLevel>> SnapshotReader::TrieLevels(
       level.block_mins = *mins;
       level.block_starts = *starts;
       level.block_bytes = *payload;
-      bytes += mins->size_bytes() + starts->size_bytes() + payload->size();
     } else {
       StatusOr<std::span<const Value>> vals = SegmentValues(ref.values_seg);
       if (!vals.ok()) return vals.status();
       level.values = *vals;
-      bytes += vals->size_bytes();
     }
     if (ref.child_seg >= 0) {
       StatusOr<std::span<const uint32_t>> kids = SegmentOffsets(ref.child_seg);
       if (!kids.ok()) return kids.status();
       level.child_begin = *kids;
-      bytes += kids->size_bytes();
     }
     levels.push_back(level);
   }
-  if (mapped_bytes != nullptr) *mapped_bytes += bytes;
-  return levels;
+  StatusOr<Trie> mapped = Trie::FromMapped(std::move(levels), file_);
+  if (!mapped.ok()) return mapped.status();
+  if (mapped->NumTuples() != p.row_count) {
+    return Status::InvalidArgument(
+        "snapshot trie tuple count disagrees with payload rows");
+  }
+  return mapped;
 }
 
 Status SnapshotReader::VerifyChecksums() const {
@@ -822,73 +745,14 @@ Status SnapshotReader::VerifyChecksums() const {
   return Status::OK();
 }
 
-namespace {
-
-Status CompareValues(std::span<const Value> got, std::span<const Value> want,
-                     const std::string& what) {
-  if (got.size() != want.size() ||
-      !std::equal(got.begin(), got.end(), want.begin())) {
-    return Status::InvalidArgument("snapshot mirror disagrees with raw " +
-                                   what);
-  }
-  return Status::OK();
-}
-
-/// Placeholder attribute labeling for decoding compressed mirrors —
-/// the codecs only consult arity.
-Schema AnonSchema(int arity) {
-  std::vector<AttrId> attrs(arity);
-  for (int i = 0; i < arity; ++i) attrs[i] = i;
-  return Schema(std::move(attrs));
-}
-
-}  // namespace
-
 Status SnapshotReader::Verify() const {
   ADJ_RETURN_IF_ERROR(VerifyChecksums());
-  for (size_t i = 0; i < relations_.size(); ++i) {
-    const PhysRel& rel = relations_[i];
-    if (rel.dict_seg < 0) continue;
-    StatusOr<std::span<const Value>> raw = SegmentValues(rel.rows_seg);
-    if (!raw.ok()) return raw.status();
-    StatusOr<std::span<const uint8_t>> comp = SegmentBytes(rel.dict_seg);
-    if (!comp.ok()) return comp.status();
-    StatusOr<std::vector<Value>> decoded =
-        DictDecodeRows(std::vector<uint8_t>(comp->begin(), comp->end()));
-    if (!decoded.ok()) return decoded.status();
-    ADJ_RETURN_IF_ERROR(CompareValues(
-        *decoded, *raw, "relation " + std::to_string(i) + " rows"));
-  }
-  for (size_t i = 0; i < payloads_.size(); ++i) {
-    const Payload& p = payloads_[i];
-    StatusOr<std::span<const Value>> raw = SegmentValues(p.rows_seg);
-    if (!raw.ok()) return raw.status();
-    const Schema schema = AnonSchema(static_cast<int>(p.perm.size()));
-    if (p.block_seg >= 0) {
-      StatusOr<std::span<const uint8_t>> comp = SegmentBytes(p.block_seg);
-      if (!comp.ok()) return comp.status();
-      StatusOr<Relation> decoded = storage::DecodeRelationBlock(
-          std::vector<uint8_t>(comp->begin(), comp->end()), schema);
-      if (!decoded.ok()) return decoded.status();
-      ADJ_RETURN_IF_ERROR(CompareValues(
-          decoded->raw(), *raw, "payload " + std::to_string(i) + " rows"));
-    }
-    if (p.has_trie) {
-      // Tries have no mirror: the stored levels ARE the execution
-      // format. FromMapped runs the full structural validation —
-      // block skip tables, payload decodability, CSR shape, sorted
-      // sibling runs — against the mapped segments.
-      StatusOr<std::vector<Trie::MappedLevel>> levels =
-          TrieLevels(p, nullptr);
-      if (!levels.ok()) return levels.status();
-      StatusOr<Trie> mapped = Trie::FromMapped(std::move(*levels), file_);
-      if (!mapped.ok()) return mapped.status();
-      if (mapped->NumTuples() != raw->size() / p.perm.size()) {
-        return Status::InvalidArgument(
-            "snapshot trie " + std::to_string(i) +
-            " tuple count disagrees with payload rows");
-      }
-    }
+  for (const Payload& p : payloads_) {
+    // The stored levels ARE the execution format. FromMapped runs the
+    // full structural validation — block skip tables, payload
+    // decodability, CSR shape, sorted sibling runs — against the mapped
+    // segments.
+    if (p.has_trie) ADJ_RETURN_IF_ERROR(MapTrie(p).status());
   }
   return Status::OK();
 }
@@ -898,7 +762,6 @@ StatusOr<SnapshotReader::LoadStats> SnapshotReader::LoadInto(
   if (catalog == nullptr) {
     return Status::InvalidArgument("LoadInto needs a catalog");
   }
-  LoadStats stats;
 
   // Phase 1 — construct and validate everything without touching the
   // catalog, so a corrupt snapshot leaves it exactly as it was.
@@ -911,8 +774,6 @@ StatusOr<SnapshotReader::LoadStats> SnapshotReader::LoadInto(
     if (!rows.ok()) return rows.status();
     phys.push_back(std::make_shared<const Relation>(
         Relation::AliasSpan(rel.schema, *rows, file_)));
-    stats.mapped_bytes += rows->size_bytes();
-    ++stats.relations;
   }
   // Entry states: mapped base/effective plus the heap-resident delta
   // chain. The merge kernels assume sorted-unique delta sides; check
@@ -958,19 +819,10 @@ StatusOr<SnapshotReader::LoadStats> SnapshotReader::LoadInto(
       return Status::InvalidArgument(
           "snapshot payload rows are not sorted-unique");
     }
-    stats.mapped_bytes += rows->size_bytes();
     if (p.has_trie) {
-      StatusOr<std::vector<Trie::MappedLevel>> levels =
-          TrieLevels(p, &stats.mapped_bytes);
-      if (!levels.ok()) return levels.status();
-      StatusOr<Trie> mapped = Trie::FromMapped(std::move(*levels), file_);
+      StatusOr<Trie> mapped = MapTrie(p);
       if (!mapped.ok()) return mapped.status();
-      if (mapped->NumTuples() != r.canon->size()) {
-        return Status::InvalidArgument(
-            "snapshot trie tuple count disagrees with payload rows");
-      }
       r.trie = std::make_shared<const Trie>(std::move(*mapped));
-      ++stats.tries;
     }
     for (const auto& b : p.bindings) {
       if (b.with_trie && r.trie == nullptr) {
@@ -987,10 +839,8 @@ StatusOr<SnapshotReader::LoadStats> SnapshotReader::LoadInto(
   // coldest first, so the cache's LRU order matches the saved one and
   // a tight byte budget keeps the hot tail.
   for (size_t i = 0; i < names_.size(); ++i) {
-    stats.delta_batches += states[i].deltas.size();
     ADJ_RETURN_IF_ERROR(
         catalog->Restore(names_[i].name, std::move(states[i])));
-    ++stats.names;
   }
   storage::IndexCache& cache = catalog->index_cache();
   for (size_t i = 0; i < payloads_.size(); ++i) {
@@ -1001,14 +851,12 @@ StatusOr<SnapshotReader::LoadStats> SnapshotReader::LoadInto(
                                             std::move(restored[i].canon),
                                             std::move(restored[i].trie),
                                             p.bindings));
-    stats.bindings += p.bindings.size();
-    ++stats.payloads;
   }
   // The last adoption's entries were referenced by its own arguments
   // while the budget ran; re-enforce now that nothing external holds
   // them.
   cache.EnforceBudget();
-  return stats;
+  return LoadStats{.relations = relations_.size(), .names = names_.size()};
 }
 
 }  // namespace adj::persist

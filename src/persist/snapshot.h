@@ -16,7 +16,7 @@
 
 namespace adj::persist {
 
-/// Snapshot file format v3 — the build-once / mmap-many layer
+/// Snapshot file format v4 — the build-once / mmap-many layer
 /// (docs/PERSISTENCE.md has the full layout diagram):
 ///
 ///   header | segment* | manifest segment | TOC segment | footer
@@ -33,9 +33,8 @@ namespace adj::persist {
 /// raw levels as the raw array, compressed levels as their three
 /// blockcodec arrays (per-block minima, byte offsets, packed payload)
 /// that `Trie::FromMapped` views in place — a warm restart serves
-/// compressed tries with zero re-encode. Relation and rows-layer
-/// payload arrays carry a compressed mirror segment that deep
-/// verification decodes and compares against the raw array.
+/// compressed tries with zero re-encode. Relation and payload rows are
+/// stored once, as their raw arrays.
 ///
 /// All raw array segments use the exact little-endian layout
 /// `Relation::AliasSpan` and `Trie::FromMapped` can view in place,
@@ -52,7 +51,7 @@ namespace adj::persist {
 inline constexpr char kMagic[8] = {'A', 'D', 'J', 'S', 'N', 'A', 'P', '1'};
 inline constexpr char kFooterMagic[8] = {'A', 'D', 'J', 'S', 'E', 'O', 'F',
                                          '1'};
-inline constexpr uint32_t kVersion = 3;
+inline constexpr uint32_t kVersion = 4;
 inline constexpr uint32_t kEndianTag = 0x01020304;
 inline constexpr uint64_t kHeaderSize = 32;
 inline constexpr uint64_t kFooterSize = 40;
@@ -60,15 +59,13 @@ inline constexpr uint64_t kSegmentAlign = 64;
 
 /// Segment kinds recorded in the TOC (informative; the manifest is
 /// what binds segments to structures). Numbers are part of the file
-/// format; 7 belonged to a retired trie mirror and stays unused.
+/// format; 5-7 belonged to retired verify-only mirrors and stay unused.
 enum class SegmentKind : uint8_t {
   kManifest = 0,
   kRelationRows = 1,   // raw rows of a catalog relation
   kPayloadRows = 2,    // raw rows of a permuted index payload
   kTrieValues = 3,     // raw value array of one trie level
   kTrieChild = 4,      // raw CSR child-offset array of one trie level
-  kRelationDict = 5,   // compressed mirror: dictionary-encoded relation
-  kPayloadBlock = 6,   // compressed mirror: delta+vbyte sorted rows
   // Block-compressed trie level (the execution format, mapped in
   // place by Trie::FromMapped — see storage/block_codec.h).
   kTrieLevelMins = 8,    // per-block first values (skip table)
@@ -92,14 +89,7 @@ uint64_t Checksum(const uint8_t* data, size_t n);
 struct WriteStats {
   uint64_t relations = 0;  // distinct physical relations (bases + effectives)
   uint64_t names = 0;      // name bindings (>= relations, aliases)
-  uint64_t delta_batches = 0;  // pending chain batches across all names
-  uint64_t delta_rows = 0;     // insert+tombstone rows in those batches
-  uint64_t payloads = 0;   // perm-keyed index payloads
-  uint64_t tries = 0;      // payloads carrying a trie
-  uint64_t bindings = 0;   // labeled bind/rel entries across payloads
   uint64_t file_bytes = 0;
-  uint64_t raw_bytes = 0;         // mmap-able array segments
-  uint64_t compressed_bytes = 0;   // compressed mirror segments
   uint64_t compressed_levels = 0;  // trie levels stored block-compressed
 };
 
@@ -132,20 +122,15 @@ class SnapshotReader {
   /// TOC's own, already checked at Open).
   Status VerifyChecksums() const;
 
-  /// Deep verification: VerifyChecksums, then decodes every compressed
-  /// mirror and compares it value-for-value against the raw segment it
-  /// mirrors. The strongest offline integrity check; used by tests and
-  /// `adj_cli --verify`-style tooling, not by the serving path.
+  /// Deep verification: VerifyChecksums, then maps every stored trie
+  /// through `Trie::FromMapped`'s structural validation and checks its
+  /// tuple count against the payload rows. The strongest offline
+  /// integrity check; used by tests, not by the serving path.
   Status Verify() const;
 
   struct LoadStats {
-    uint64_t relations = 0;
-    uint64_t names = 0;
-    uint64_t delta_batches = 0;  // chain batches re-attached to entries
-    uint64_t payloads = 0;
-    uint64_t tries = 0;
-    uint64_t bindings = 0;
-    uint64_t mapped_bytes = 0;  // raw bytes now viewed by the catalog
+    uint64_t relations = 0;  // distinct physical relations
+    uint64_t names = 0;      // name bindings restored
   };
 
   /// Restores the snapshot into `catalog`: Catalog::Restore every
@@ -163,7 +148,6 @@ class SnapshotReader {
     storage::Schema schema;
     uint64_t row_count = 0;
     uint32_t rows_seg = 0;
-    int64_t dict_seg = -1;  // -1: no compressed mirror
   };
   struct TrieLevelRef {
     uint64_t values_count = 0;
@@ -179,7 +163,6 @@ class SnapshotReader {
     std::vector<int> perm;
     uint64_t row_count = 0;
     uint32_t rows_seg = 0;
-    int64_t block_seg = -1;
     bool has_trie = false;
     std::vector<TrieLevelRef> levels;
     std::vector<storage::IndexCache::Binding> bindings;
@@ -190,11 +173,11 @@ class SnapshotReader {
       uint64_t index) const;
   StatusOr<std::span<const uint32_t>> SegmentOffsets(uint64_t index) const;
 
-  /// Materializes one payload trie's MappedLevel views (raw or
-  /// compressed per level), accumulating viewed bytes into
-  /// `mapped_bytes` when given. Shared by Verify and LoadInto.
-  StatusOr<std::vector<storage::Trie::MappedLevel>> TrieLevels(
-      const Payload& p, uint64_t* mapped_bytes) const;
+  /// Views one payload's stored trie levels (raw or compressed per
+  /// level) through `Trie::FromMapped`'s structural validation and
+  /// checks the tuple count against the payload rows. Shared by Verify
+  /// and LoadInto.
+  StatusOr<storage::Trie> MapTrie(const Payload& p) const;
 
   /// One delta batch's rows as decoded from the manifest (row-major,
   /// base arity), turned into DeltaBatch relations at load time.

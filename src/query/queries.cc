@@ -44,6 +44,4 @@ std::string BenchmarkQueryName(int index) {
   return "Q" + std::to_string(index);
 }
 
-std::vector<int> EvaluatedQueryIndices() { return {1, 2, 3, 4, 5, 6}; }
-
 }  // namespace adj::query

@@ -23,9 +23,6 @@ StatusOr<Query> MakeBenchmarkQuery(int index);
 /// Names "Q1".."Q11" for display.
 std::string BenchmarkQueryName(int index);
 
-/// Indices of the queries the evaluation focuses on (Q1..Q6).
-std::vector<int> EvaluatedQueryIndices();
-
 }  // namespace adj::query
 
 #endif  // ADJ_QUERY_QUERIES_H_

@@ -18,36 +18,22 @@ namespace adj::storage {
 /// the relation into the canonical (lexicographically sorted, unique)
 /// state the trie builder requires.
 ///
-/// A relation can also *alias* an external row payload: reads go
-/// through a borrowed span and cost no copy. AliasRows shares another
-/// relation's heap vector (how the index cache hands one physical
-/// permutation to many attribute labelings); AliasSpan views arbitrary
-/// read-only memory kept alive by an opaque handle — in particular an
-/// mmap'ed snapshot segment, which is how persist loads relations with
-/// zero parsing. Mutation detaches (copy-on-write), so aliasing stays
-/// an implementation detail to callers.
+/// A relation can also *alias* an external row payload: AliasSpan views
+/// read-only memory kept alive by an opaque handle and costs no copy.
+/// The index cache aliases one canonical permuted relation under each
+/// attribute labeling that binds it, and persist views mmap'ed snapshot
+/// segments with zero parsing. Mutation detaches (copy-on-write), so
+/// aliasing stays an implementation detail to callers.
 class Relation {
  public:
   Relation() = default;
   explicit Relation(Schema schema) : schema_(std::move(schema)) {}
 
-  /// A relation whose rows alias `rows` (no copy). Callers must not
-  /// mutate `*rows` afterwards; Relation mutators copy-on-write.
-  static Relation AliasRows(Schema schema,
-                            std::shared_ptr<const std::vector<Value>> rows) {
-    Relation r(std::move(schema));
-    if (rows != nullptr) {
-      r.view_ = std::span<const Value>(rows->data(), rows->size());
-      r.keepalive_ = std::move(rows);
-    }
-    return r;
-  }
-
   /// A relation whose rows view `rows` directly — typically a segment
   /// of an mmap'ed snapshot. `keepalive` must own the viewed memory
   /// (the persist::MappedFile, or the canonical Relation the span
   /// belongs to) and is held for the alias's lifetime. Mutators
-  /// copy-on-write, exactly like AliasRows.
+  /// copy-on-write.
   static Relation AliasSpan(Schema schema, std::span<const Value> rows,
                             std::shared_ptr<const void> keepalive) {
     Relation r(std::move(schema));
@@ -118,7 +104,7 @@ class Relation {
                       : static_cast<const void*>(&data_);
   }
 
-  /// Whether reads go through a borrowed payload (AliasRows/AliasSpan)
+  /// Whether reads go through a borrowed payload (AliasSpan)
   /// rather than owned heap storage.
   bool is_alias() const { return keepalive_ != nullptr; }
 

@@ -40,9 +40,9 @@ void WriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
             std::streamsize(bytes.size()));
 }
 
-/// A small catalog with deliberately unsorted rows (the dictionary
-/// codec must not assume canonical order) and an alias name sharing
-/// the physical relation.
+/// A small catalog with deliberately unsorted rows (the snapshot must
+/// store catalog relations in their own order) and an alias name
+/// sharing the physical relation.
 storage::Catalog MakeCatalog() {
   storage::Catalog db;
   storage::Relation edges((storage::Schema({0, 1})));
@@ -185,7 +185,7 @@ TEST(SnapshotRoundTrip, MappedTriesAgreeWithBuild) {
     EXPECT_EQ(payload.trie->NumTuples(), built.NumTuples());
     const int depth = payload.rows->arity();
     for (int level = 0; level < depth; ++level) {
-      // Levels may be stored block-compressed (snapshot v3 maps them
+      // Levels may be stored block-compressed (the snapshot maps them
       // in place); decoded content must match the fresh build exactly.
       std::vector<Value> mapped_vals;
       std::vector<Value> built_vals;
@@ -212,6 +212,12 @@ TEST(SnapshotRoundTrip, DeepVerifyPasses) {
   ASSERT_TRUE(reader.ok()) << reader.status();
   EXPECT_TRUE(reader->VerifyChecksums().ok());
   EXPECT_TRUE(reader->Verify().ok());
+  // Every segment is one the reader maps or parses: the v3 mirror
+  // kinds (5: relation dictionary, 6: payload block) are gone.
+  for (const persist::SegmentInfo& seg : reader->segments()) {
+    EXPECT_NE(static_cast<int>(seg.kind), 5);
+    EXPECT_NE(static_cast<int>(seg.kind), 6);
+  }
   std::remove(path.c_str());
 }
 
@@ -330,11 +336,12 @@ TEST_F(SnapshotCorruptionTest, WrongMagic) {
 }
 
 TEST_F(SnapshotCorruptionTest, WrongVersion) {
-  // The reader accepts kVersion only: the retired v2 layout and an
-  // unknown future version are both refused up front with
-  // InvalidArgument, by the reader and by Database::Open.
+  // The reader accepts kVersion only: the retired v2 layout, the v3
+  // layout with verify-only mirror segments, and an unknown future
+  // version are all refused up front with InvalidArgument, by the
+  // reader and by Database::Open.
   ASSERT_EQ(bytes_[8], persist::kVersion);
-  for (uint8_t version : {uint8_t(2), uint8_t(0x7F)}) {
+  for (uint8_t version : {uint8_t(2), uint8_t(3), uint8_t(0x7F)}) {
     std::vector<uint8_t> mutated = bytes_;
     mutated[8] = version;  // version field: little-endian u32 at offset 8
     WriteFile(path_, mutated);
