@@ -39,7 +39,9 @@ void Run() {
       auto bound = exec::BindAtomsForOrder(*q, db, order);
       ADJ_CHECK(bound.ok());
       std::vector<dist::HCubeInput> inputs;
-      for (const auto& b : *bound) inputs.push_back({&b.rel(), b.attrs});
+      for (const auto& b : *bound) {
+        inputs.push_back(dist::HCubeInput::Plain(&b.rel(), b.attrs));
+      }
       // Shares: same for all variants so only the implementation varies.
       dist::ShareVector share;
       share.p.assign(size_t(q->num_attrs()), 1);

@@ -111,7 +111,9 @@ void BM_HCubeShuffle(benchmark::State& state) {
                                               atom.schema.attrs(), rank));
   }
   std::vector<dist::HCubeInput> inputs;
-  for (const auto& p : prepared) inputs.push_back({&p.rel, p.attrs});
+  for (const auto& p : prepared) {
+    inputs.push_back(dist::HCubeInput::Plain(&p.rel, p.attrs));
+  }
   const auto variant = static_cast<dist::HCubeVariant>(state.range(0));
   dist::ShareVector share{{2, 2, 1}};
   for (auto _ : state) {

@@ -18,9 +18,11 @@ namespace adj::core {
 namespace {
 
 /// Exact |val(A)|: intersection of the A-projections over the atoms
-/// containing A (cheap; one sorted-set intersection per atom).
+/// containing A (cheap; one sorted-set intersection per atom, each
+/// column sorted once per planning run through `columns`).
 StatusOr<uint64_t> ValDistinct(const query::Query& q,
-                               const storage::Catalog& db, AttrId a) {
+                               const storage::Catalog& db,
+                               sampling::DistinctColumns& columns, AttrId a) {
   std::vector<Value> acc;
   bool first = true;
   for (const query::Atom& atom : q.atoms()) {
@@ -28,9 +30,9 @@ StatusOr<uint64_t> ValDistinct(const query::Query& q,
     if (pos < 0) continue;
     StatusOr<const storage::Relation*> base = db.Get(atom.relation);
     if (!base.ok()) return base.status();
-    std::vector<Value> vals = (*base)->DistinctColumn(pos);
+    const std::vector<Value>& vals = columns.Get(**base, pos);
     if (first) {
-      acc = std::move(vals);
+      acc = vals;
       first = false;
     } else {
       std::vector<Value> merged;
@@ -80,14 +82,20 @@ class EstimationContext {
   /// issuing work once it passes `budget_seconds` on that clock (the
   /// plan search itself is cheap — sampling is where planning time
   /// goes, so bounding the estimate callbacks bounds the search).
+  /// `sketch` orders each sub-query's sampling pass; `columns` is the
+  /// run's distinct-column table.
   EstimationContext(const query::Query& q, const storage::Catalog& db,
                     const EngineOptions& options, const WallTimer& timer,
-                    double budget_seconds)
+                    double budget_seconds,
+                    const sampling::SketchEstimator& sketch,
+                    sampling::DistinctColumns& columns)
       : q_(q),
         db_(db),
         options_(options),
         timer_(timer),
-        budget_seconds_(budget_seconds) {}
+        budget_seconds_(budget_seconds),
+        sketch_(sketch),
+        columns_(columns) {}
 
   /// Estimated size of the join of the atoms in `mask` (1.0 if empty).
   double JoinSize(AtomMask mask) {
@@ -121,9 +129,11 @@ class EstimationContext {
       sopts.distributed = false;  // the one-time reduction is accounted
                                   // by the main sampling pass
       sopts.max_total_seconds = remaining;
+      // A connected order: each attribute after the first extends a
+      // sub-query atom, so no sample enumerates a cross product.
       StatusOr<sampling::SampleEstimate> est = sampling::SampleCardinality(
-          sub, db_, AscendingOrder(sub), sopts, options_.cluster.net,
-          options_.cluster.num_servers);
+          sub, db_, sketch_.ConnectedOrder(mask), sopts,
+          options_.cluster.net, options_.cluster.num_servers);
       size = est.ok() ? est->cardinality
                       : std::numeric_limits<double>::infinity();
       sampling_seconds_ += est.ok() ? est->seconds : 0.0;
@@ -135,7 +145,7 @@ class EstimationContext {
   double Distinct(AttrId a) {
     auto it = distinct_.find(a);
     if (it != distinct_.end()) return it->second;
-    StatusOr<uint64_t> v = ValDistinct(q_, db_, a);
+    StatusOr<uint64_t> v = ValDistinct(q_, db_, columns_, a);
     const double d = v.ok() ? double(*v) : 1.0;
     distinct_[a] = d;
     return d;
@@ -151,6 +161,8 @@ class EstimationContext {
   const EngineOptions& options_;
   const WallTimer& timer_;
   double budget_seconds_;
+  const sampling::SketchEstimator& sketch_;
+  sampling::DistinctColumns& columns_;
   std::map<AtomMask, double> cache_;
   std::map<AttrId, double> distinct_;
   double sampling_seconds_ = 0.0;
@@ -245,11 +257,21 @@ StatusOr<PlanResult> Engine::Plan(const query::Query& q,
   }
   ADJ_RETURN_IF_ERROR(CheckBudget("cardinality sampling"));
 
-  EstimationContext ctx(q, *db_, options, timer, budget);
+  // One distinct-column table serves the sketch and val(A) for this
+  // run only: each (relation, column) is sorted once per plan.
+  sampling::DistinctColumns columns;
+  StatusOr<sampling::SketchEstimator> sketch =
+      sampling::SketchEstimator::Build(q, *db_, columns);
+  if (!sketch.ok()) return sketch.status();
+  EstimationContext ctx(q, *db_, options, timer, budget, *sketch, columns);
   if (full_est.ok()) {
     // The full-query cardinality is already estimated; seed the
-    // sub-query cache so Alg. 2 does not re-sample it.
+    // sub-query cache so Alg. 2 does not re-sample it. A single atom's
+    // size is exact: the tuple count of the index the pass bound.
     ctx.Seed((AtomMask(1) << q.num_atoms()) - 1, full_est->cardinality);
+    for (int i = 0; i < q.num_atoms(); ++i) {
+      ctx.Seed(AtomMask(1) << i, double(full_est->atom_tuples[size_t(i)]));
+    }
   }
 
   optimizer::PlanningInputs in;
@@ -285,13 +307,9 @@ StatusOr<PlanResult> Engine::Plan(const query::Query& q,
     return ctx.JoinSize(decomp->bags[size_t(v)].atoms);
   };
   in.estimate_distinct = [&](AttrId a) { return ctx.Distinct(a); };
-  StatusOr<sampling::SketchEstimator> sketch =
-      sampling::SketchEstimator::Build(q, *db_);
-  if (sketch.ok()) {
-    in.order_score = [&](const query::AttributeOrder& order) {
-      return SketchOrderScore(*sketch, order);
-    };
-  }
+  in.order_score = [&](const query::AttributeOrder& order) {
+    return SketchOrderScore(*sketch, order);
+  };
 
   StatusOr<optimizer::QueryPlan> plan =
       options.use_exhaustive_planner ? optimizer::OptimizeExhaustivePlan(in)

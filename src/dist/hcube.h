@@ -2,6 +2,7 @@
 #define ADJ_DIST_HCUBE_H_
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -36,6 +37,15 @@ struct HCubeInput {
   /// build. Ignored unless `shared_rel.get() == rel`.
   std::shared_ptr<const storage::Relation> shared_rel;
   std::shared_ptr<const storage::Trie> trie;
+
+  /// An input over `rel` alone: no pin and no shared handles.
+  static HCubeInput Plain(const storage::Relation* rel,
+                          std::vector<AttrId> attrs) {
+    HCubeInput in;
+    in.rel = rel;
+    in.attrs = std::move(attrs);
+    return in;
+  }
 };
 
 /// One input's shuffle outcome in shareable form: per server the

@@ -1,8 +1,9 @@
 #include "ghd/decomposition.h"
 
 #include <algorithm>
+#include <array>
 #include <functional>
-#include <unordered_map>
+#include <span>
 
 #include "ghd/fractional_edge_cover.h"
 
@@ -10,28 +11,17 @@ namespace adj::ghd {
 namespace {
 
 constexpr double kWidthEps = 1e-6;
+// The search enumerates Bell(m) partitions; 12 atoms is ~4.2M of them.
+constexpr int kMaxAtoms = 12;
 
-/// Calls fn(assignment, num_groups) for every set partition of
-/// {0..m-1}, enumerated via restricted growth strings.
-void ForEachPartition(
-    int m, const std::function<void(const std::vector<int>&, int)>& fn) {
-  std::vector<int> assign(m, 0);
-  std::function<void(int, int)> rec = [&](int i, int groups) {
-    if (i == m) {
-      fn(assign, groups);
-      return;
-    }
-    for (int g = 0; g <= groups && g < 32; ++g) {
-      assign[i] = g;
-      rec(i + 1, std::max(groups, g + 1));
-    }
-  };
-  rec(0, 0);
-}
-
+/// One partition's decomposition: group g's atoms, bag attributes,
+/// rho and join-tree parent at index g.
 struct Candidate {
-  std::vector<Bag> bags;
-  std::vector<int> parent;
+  int groups = 0;
+  std::array<AtomMask, kMaxAtoms> atoms{};
+  std::array<AttrMask, kMaxAtoms> attrs{};
+  std::array<double, kMaxAtoms> rho{};
+  std::array<int, kMaxAtoms> parent{};
   double width = 0.0;
   double total_rho = 0.0;
 };
@@ -42,9 +32,118 @@ struct Candidate {
 bool Better(const Candidate& a, const Candidate& b) {
   if (a.width < b.width - kWidthEps) return true;
   if (a.width > b.width + kWidthEps) return false;
-  if (a.bags.size() != b.bags.size()) return a.bags.size() > b.bags.size();
+  if (a.groups != b.groups) return a.groups > b.groups;
   return a.total_rho < b.total_rho - kWidthEps;
 }
+
+/// Exhaustive partition search over the atoms. Every partition of
+/// {0..m-1} is visited once, in restricted-growth-string order, with
+/// its groups kept as atom masks that grow and shrink one atom at a
+/// time. Per-group facts are looked up in dense tables indexed by atom
+/// mask, so scoring a partition allocates nothing. A partition is
+/// ranked before its acyclicity test: one that cannot beat the best so
+/// far skips the GYO reduction, and the first best partition in
+/// enumeration order still wins.
+class PartitionSearch {
+ public:
+  explicit PartitionSearch(const query::Hypergraph& h)
+      : h_(h),
+        m_(h.num_edges()),
+        vertices_(size_t(1) << m_, 0),
+        connected_(size_t(1) << m_, 0),
+        rho_(size_t(1) << m_, kUnsolved) {
+    for (AtomMask mask = 1; mask < (AtomMask(1) << m_); ++mask) {
+      vertices_[mask] =
+          vertices_[mask & (mask - 1)] | h.edge(LowestBit(mask));
+      connected_[mask] = h.EdgesConnected(mask) ? 1 : 0;
+    }
+  }
+
+  /// Visits every partition; true if some partition is a GHD.
+  bool Run() {
+    Extend(0, 0);
+    return found_;
+  }
+  const Candidate& best() const { return best_; }
+  const Status& lp_error() const { return lp_error_; }
+
+ private:
+  static constexpr double kUnsolved = -2.0;  // rho_ entry not solved yet
+
+  /// Places atom i into each existing group and into one new group.
+  void Extend(int i, int groups) {
+    if (i == m_) {
+      Score(groups);
+      return;
+    }
+    const AtomMask bit = AtomMask(1) << i;
+    for (int g = 0; g <= groups; ++g) {
+      cand_.atoms[size_t(g)] |= bit;
+      Extend(i + 1, std::max(groups, g + 1));
+      cand_.atoms[size_t(g)] &= ~bit;
+    }
+  }
+
+  void Score(int groups) {
+    // Each group must be connected: a disconnected bag would be a
+    // cartesian product, never cost-effective and not a GHD node.
+    for (int g = 0; g < groups; ++g) {
+      if (connected_[cand_.atoms[size_t(g)]] == 0) return;
+    }
+    cand_.groups = groups;
+    cand_.width = 0.0;
+    cand_.total_rho = 0.0;
+    for (int g = 0; g < groups; ++g) {
+      const double rho = Rho(cand_.atoms[size_t(g)]);
+      if (rho < 0) return;  // LP failed (recorded in lp_error_)
+      cand_.rho[size_t(g)] = rho;
+      cand_.width = std::max(cand_.width, rho);
+      cand_.total_rho += rho;
+    }
+    if (found_ && !Better(cand_, best_)) return;
+    // Grouped schemas must form an acyclic hypergraph (a hypertree).
+    for (int g = 0; g < groups; ++g) {
+      cand_.attrs[size_t(g)] = vertices_[cand_.atoms[size_t(g)]];
+    }
+    if (!query::Hypergraph::GyoAcyclic(
+            std::span<const AttrMask>(cand_.attrs.data(), size_t(groups)),
+            cand_.parent.data())) {
+      return;
+    }
+    best_ = cand_;
+    found_ = true;
+  }
+
+  /// Fractional edge cover of a group's attributes by its atoms,
+  /// solved on first use; -1 if the LP failed.
+  double Rho(AtomMask atoms) {
+    double& rho = rho_[atoms];
+    if (rho != kUnsolved) return rho;
+    std::vector<AttrMask> bag_edges;
+    for (int e = 0; e < m_; ++e) {
+      if (atoms & (AtomMask(1) << e)) bag_edges.push_back(h_.edge(e));
+    }
+    StatusOr<EdgeCover> cover =
+        FractionalEdgeCover(vertices_[atoms], bag_edges);
+    if (!cover.ok()) {
+      lp_error_ = cover.status();
+      rho = -1.0;
+    } else {
+      rho = cover->rho;
+    }
+    return rho;
+  }
+
+  const query::Hypergraph& h_;
+  const int m_;
+  std::vector<AttrMask> vertices_;  // per atom mask: union of schemas
+  std::vector<uint8_t> connected_;  // per atom mask: EdgesConnected
+  std::vector<double> rho_;         // per atom mask: Rho, or kUnsolved
+  Candidate cand_;
+  Candidate best_;
+  bool found_ = false;
+  Status lp_error_ = Status::OK();
+};
 
 }  // namespace
 
@@ -81,88 +180,27 @@ StatusOr<Decomposition> FindOptimalGhd(const query::Query& q) {
   const query::Hypergraph h(q);
   const int m = h.num_edges();
   if (m == 0) return Status::InvalidArgument("query has no atoms");
-  if (m > 12) {
+  if (m > kMaxAtoms) {
     return Status::InvalidArgument(
         "partition-based GHD search supports <= 12 atoms");
   }
 
-  bool found = false;
-  Candidate best;
-  Status lp_error = Status::OK();
-
-  // Per-group results are shared across the (up to Bell(m)) partitions:
-  // memoize connectivity and the fractional-edge-cover LP by atom mask.
-  std::unordered_map<AtomMask, bool> connected_cache;
-  std::unordered_map<AtomMask, double> rho_cache;
-  auto group_connected = [&](AtomMask atoms) {
-    auto it = connected_cache.find(atoms);
-    if (it != connected_cache.end()) return it->second;
-    const bool c = h.EdgesConnected(atoms);
-    connected_cache.emplace(atoms, c);
-    return c;
-  };
-  auto group_rho = [&](AtomMask atoms, AttrMask attrs) -> double {
-    auto it = rho_cache.find(atoms);
-    if (it != rho_cache.end()) return it->second;
-    std::vector<AttrMask> bag_edges;
-    for (int e = 0; e < m; ++e) {
-      if (atoms & (AtomMask(1) << e)) bag_edges.push_back(h.edge(e));
-    }
-    StatusOr<EdgeCover> cover = FractionalEdgeCover(attrs, bag_edges);
-    if (!cover.ok()) {
-      lp_error = cover.status();
-      rho_cache.emplace(atoms, -1.0);
-      return -1.0;
-    }
-    rho_cache.emplace(atoms, cover->rho);
-    return cover->rho;
-  };
-
-  ForEachPartition(m, [&](const std::vector<int>& assign, int groups) {
-    // Collect group masks.
-    std::vector<AtomMask> group_atoms(groups, 0);
-    for (int e = 0; e < m; ++e) {
-      group_atoms[assign[e]] |= (AtomMask(1) << e);
-    }
-    // Each group must be connected: a disconnected bag would be a
-    // cartesian product, never cost-effective and not a GHD node.
-    for (int g = 0; g < groups; ++g) {
-      if (!group_connected(group_atoms[g])) return;
-    }
-    // Grouped schemas must form an acyclic hypergraph (a hypertree).
-    std::vector<AttrMask> group_attrs(groups);
-    for (int g = 0; g < groups; ++g) {
-      group_attrs[g] = h.VerticesOf(group_atoms[g]);
-    }
-    std::vector<int> parent;
-    if (!query::Hypergraph::GyoAcyclic(group_attrs, &parent)) return;
-
-    Candidate cand;
-    cand.parent = parent;
-    cand.bags.resize(groups);
-    for (int g = 0; g < groups; ++g) {
-      Bag& bag = cand.bags[g];
-      bag.atoms = group_atoms[g];
-      bag.attrs = group_attrs[g];
-      bag.rho = group_rho(bag.atoms, bag.attrs);
-      if (bag.rho < 0) return;  // LP failed (recorded in lp_error)
-      cand.width = std::max(cand.width, bag.rho);
-      cand.total_rho += bag.rho;
-    }
-    if (!found || Better(cand, best)) {
-      best = std::move(cand);
-      found = true;
-    }
-  });
-
-  if (!found) {
-    if (!lp_error.ok()) return lp_error;
+  PartitionSearch search(h);
+  if (!search.Run()) {
+    if (!search.lp_error().ok()) return search.lp_error();
     return Status::Internal("no GHD found (unexpected: the one-bag "
                             "partition is always acyclic)");
   }
+  const Candidate& best = search.best();
   Decomposition d;
-  d.bags = std::move(best.bags);
-  d.parent = std::move(best.parent);
+  for (int g = 0; g < best.groups; ++g) {
+    Bag bag;
+    bag.atoms = best.atoms[size_t(g)];
+    bag.attrs = best.attrs[size_t(g)];
+    bag.rho = best.rho[size_t(g)];
+    d.bags.push_back(bag);
+    d.parent.push_back(best.parent[size_t(g)]);
+  }
   d.width = best.width;
   return d;
 }

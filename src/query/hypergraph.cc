@@ -1,5 +1,10 @@
 #include "query/hypergraph.h"
 
+#include <algorithm>
+#include <array>
+
+#include "common/logging.h"
+
 namespace adj::query {
 
 Hypergraph::Hypergraph(const Query& q) : num_vertices_(q.num_attrs()) {
@@ -27,12 +32,15 @@ bool Hypergraph::EdgesConnected(AtomMask edge_set) const {
   return visited == edge_set;
 }
 
-bool Hypergraph::GyoAcyclic(const std::vector<AttrMask>& edge_masks,
-                            std::vector<int>* parent) {
+bool Hypergraph::GyoAcyclic(std::span<const AttrMask> edge_masks,
+                            int* parent) {
   const int m = static_cast<int>(edge_masks.size());
-  std::vector<AttrMask> cur = edge_masks;  // working copies, shrink over time
-  std::vector<bool> alive(m, true);
-  if (parent != nullptr) parent->assign(m, -1);
+  // Working copies, shrunk over time, and the alive edges as a mask.
+  ADJ_CHECK(m <= 32) << "GyoAcyclic takes at most 32 edges";
+  std::array<AttrMask, 32> cur{};
+  std::copy(edge_masks.begin(), edge_masks.end(), cur.begin());
+  AtomMask alive = m == 32 ? ~AtomMask(0) : (AtomMask(1) << m) - 1;
+  if (parent != nullptr) std::fill(parent, parent + m, -1);
   int alive_count = m;
 
   bool progressed = true;
@@ -40,10 +48,12 @@ bool Hypergraph::GyoAcyclic(const std::vector<AttrMask>& edge_masks,
     progressed = false;
     // Rule 1: delete vertices that occur in exactly one edge.
     for (int e = 0; e < m; ++e) {
-      if (!alive[e]) continue;
+      if ((alive & (AtomMask(1) << e)) == 0) continue;
       AttrMask exclusive = cur[e];
       for (int f = 0; f < m; ++f) {
-        if (f != e && alive[f]) exclusive &= ~cur[f];
+        if (f != e && (alive & (AtomMask(1) << f)) != 0) {
+          exclusive &= ~cur[f];
+        }
       }
       if (exclusive != 0) {
         cur[e] &= ~exclusive;
@@ -52,13 +62,13 @@ bool Hypergraph::GyoAcyclic(const std::vector<AttrMask>& edge_masks,
     }
     // Rule 2: delete an edge contained in another edge ("ear").
     for (int e = 0; e < m && alive_count > 1; ++e) {
-      if (!alive[e]) continue;
+      if ((alive & (AtomMask(1) << e)) == 0) continue;
       for (int f = 0; f < m; ++f) {
-        if (f == e || !alive[f]) continue;
+        if (f == e || (alive & (AtomMask(1) << f)) == 0) continue;
         if ((cur[e] & ~cur[f]) == 0) {
-          alive[e] = false;
+          alive &= ~(AtomMask(1) << e);
           --alive_count;
-          if (parent != nullptr) (*parent)[e] = f;
+          if (parent != nullptr) parent[e] = f;
           progressed = true;
           break;
         }

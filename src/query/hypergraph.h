@@ -1,6 +1,7 @@
 #ifndef ADJ_QUERY_HYPERGRAPH_H_
 #define ADJ_QUERY_HYPERGRAPH_H_
 
+#include <span>
 #include <vector>
 
 #include "common/types.h"
@@ -25,13 +26,13 @@ class Hypergraph {
   /// is connected (edges sharing a vertex are adjacent).
   bool EdgesConnected(AtomMask edge_set) const;
 
-  /// GYO (Graham–Yu–Ozsoyoglu) reduction over the given edge masks.
+  /// GYO (Graham–Yu–Ozsoyoglu) reduction over at most 32 edge masks.
   /// Returns true iff the hypergraph they form is alpha-acyclic; when
   /// acyclic and `parent` != nullptr, fills a join-tree parent index
   /// per edge (-1 for the root) satisfying the running-intersection
-  /// property.
-  static bool GyoAcyclic(const std::vector<AttrMask>& edge_masks,
-                         std::vector<int>* parent);
+  /// property. `parent` has room for one entry per edge. Allocates
+  /// nothing.
+  static bool GyoAcyclic(std::span<const AttrMask> edge_masks, int* parent);
 
   /// Vertices (as a mask) covered by the edges in `edge_set`.
   AttrMask VerticesOf(AtomMask edge_set) const;

@@ -19,6 +19,36 @@ uint64_t ChernoffSampleCount(double p, double delta) {
       std::ceil(0.5 / (p * p) * std::log(2.0 / delta)));
 }
 
+uint64_t CountSemiJoinRows(const storage::Relation& rel,
+                           std::span<const Value> keep) {
+  const Value* rows = rel.raw().data();
+  const uint64_t k = uint64_t(rel.arity());
+  const uint64_t n = rel.size();
+  // First row in [lo, n) whose leading value is not below `v`
+  // (`strictly` = strictly above it): the column is sorted.
+  auto bound = [&](uint64_t lo, Value v, bool strictly) {
+    uint64_t hi = n;
+    while (lo < hi) {
+      const uint64_t mid = lo + (hi - lo) / 2;
+      const Value x = rows[mid * k];
+      if (x < v || (strictly && x == v)) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo;
+  };
+  uint64_t count = 0, lo = 0;
+  for (const Value v : keep) {
+    lo = bound(lo, v, false);
+    const uint64_t hi = bound(lo, v, true);
+    count += hi - lo;
+    lo = hi;
+  }
+  return count;
+}
+
 StatusOr<SampleEstimate> SampleCardinality(const query::Query& q,
                                            const storage::Catalog& db,
                                            const query::AttributeOrder& order,
@@ -47,6 +77,7 @@ StatusOr<SampleEstimate> SampleCardinality(const query::Query& q,
   }
   for (const wcoj::SharedPreparedRelation& p : prepared) {
     inputs.push_back(wcoj::JoinInput{&p.trie(), p.attrs});
+    est.atom_tuples.push_back(p.trie().NumTuples());
   }
 
   // val(A): intersect the A-projections of the relations containing A.
@@ -174,10 +205,11 @@ StatusOr<SampleEstimate> SampleCardinality(const query::Query& q,
         // Projection shuffle.
         copies += p.trie().values(0).size();
         bytes += p.trie().values(0).size() * sizeof(Value);
-        // Reduced relation shuffle.
-        storage::Relation reduced = p.rel().SemiJoinFilter(0, sampled);
-        copies += reduced.size();
-        bytes += reduced.SizeBytes();
+        // Reduced relation shuffle: the rows that keep a sampled
+        // value, counted in place.
+        const uint64_t reduced = CountSemiJoinRows(p.rel(), sampled);
+        copies += reduced;
+        bytes += reduced * uint64_t(p.rel().arity()) * sizeof(Value);
       } else {
         copies += p.rel().size();
         bytes += p.rel().SizeBytes();

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -52,6 +53,9 @@ struct SampleEstimate {
   /// Scaled per-order-position intermediate counts: estimate of |T_i|
   /// under the order used for sampling.
   std::vector<double> est_tuples_at_level;
+  /// Exact distinct tuples of each atom (in atom order): the tuple
+  /// count of the index this pass bound for it.
+  std::vector<uint64_t> atom_tuples;
   /// Modeled shuffle of the semijoin-reduced database.
   dist::CommStats comm;
 };
@@ -72,6 +76,13 @@ StatusOr<SampleEstimate> SampleCardinality(const query::Query& q,
                                            const SamplerOptions& options,
                                            const dist::NetworkModel& net = {},
                                            int num_servers = 4);
+
+/// Rows of `rel` whose first column holds a value of `keep` — the
+/// size of rel.SemiJoinFilter(0, keep), counted by binary search
+/// without copying a row. `rel` must be sorted (an index's permuted
+/// relation) and `keep` sorted ascending.
+uint64_t CountSemiJoinRows(const storage::Relation& rel,
+                           std::span<const Value> keep);
 
 /// Chernoff–Hoeffding sample count (Lemma 2): k samples guarantee
 /// P(|X̄ - mu| > p*b) < delta for k = ceil(-0.5 p^-2 ln(delta/2))…

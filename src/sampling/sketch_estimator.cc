@@ -1,11 +1,26 @@
 #include "sampling/sketch_estimator.h"
 
 #include <algorithm>
+#include <limits>
 
 namespace adj::sampling {
 
+const std::vector<Value>& DistinctColumns::Get(const storage::Relation& rel,
+                                               int col) {
+  auto [it, inserted] = columns_.try_emplace({&rel, col});
+  if (inserted) it->second = rel.DistinctColumn(col);
+  return it->second;
+}
+
 StatusOr<SketchEstimator> SketchEstimator::Build(const query::Query& q,
                                                  const storage::Catalog& db) {
+  DistinctColumns columns;
+  return Build(q, db, columns);
+}
+
+StatusOr<SketchEstimator> SketchEstimator::Build(const query::Query& q,
+                                                 const storage::Catalog& db,
+                                                 DistinctColumns& columns) {
   SketchEstimator est;
   est.q_ = &q;
   est.sizes_.resize(q.num_atoms());
@@ -19,7 +34,7 @@ StatusOr<SketchEstimator> SketchEstimator::Build(const query::Query& q,
     const storage::Schema& schema = q.atom(i).schema;
     for (int c = 0; c < schema.arity(); ++c) {
       est.distinct_[size_t(i)][size_t(schema.attr(c))] =
-          rel.DistinctColumn(c).size();
+          columns.Get(rel, c).size();
     }
   }
   return est;
@@ -51,13 +66,53 @@ double SketchEstimator::EstimateJoin(AtomMask atoms) const {
 }
 
 double SketchEstimator::EstimateBindings(AttrMask attrs) const {
+  return EstimateJoin(AtomsWithin(attrs));
+}
+
+AtomMask SketchEstimator::AtomsWithin(AttrMask attrs) const {
   AtomMask atoms = 0;
   for (int i = 0; i < q_->num_atoms(); ++i) {
     if ((q_->atom(i).schema.Mask() & ~attrs) == 0) {
       atoms |= (AtomMask(1) << i);
     }
   }
-  return EstimateJoin(atoms);
+  return atoms;
+}
+
+query::AttributeOrder SketchEstimator::ConnectedOrder(AtomMask atoms) const {
+  AttrMask left = 0;
+  for (int i = 0; i < q_->num_atoms(); ++i) {
+    if (atoms & (AtomMask(1) << i)) left |= q_->atom(i).schema.Mask();
+  }
+  query::AttributeOrder order;
+  AttrMask prefix = 0;
+  while (left != 0) {
+    // Attributes sharing one of the atoms with the prefix.
+    AttrMask reach = 0;
+    for (int i = 0; i < q_->num_atoms(); ++i) {
+      const AttrMask schema = q_->atom(i).schema.Mask();
+      if ((atoms & (AtomMask(1) << i)) != 0 && (schema & prefix) != 0) {
+        reach |= schema;
+      }
+    }
+    reach &= left;
+    if (reach == 0) reach = left;  // first attribute, or a new component
+    AttrId best = -1;
+    double best_score = std::numeric_limits<double>::infinity();
+    for (AttrId a = 0; a < q_->num_attrs(); ++a) {
+      if ((reach & (AttrMask(1) << a)) == 0) continue;
+      const double score =
+          EstimateJoin(AtomsWithin(prefix | (AttrMask(1) << a)) & atoms);
+      if (best < 0 || score < best_score) {
+        best = a;
+        best_score = score;
+      }
+    }
+    order.push_back(best);
+    prefix |= AttrMask(1) << best;
+    left &= ~(AttrMask(1) << best);
+  }
+  return order;
 }
 
 }  // namespace adj::sampling

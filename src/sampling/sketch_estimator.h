@@ -1,14 +1,31 @@
 #ifndef ADJ_SAMPLING_SKETCH_ESTIMATOR_H_
 #define ADJ_SAMPLING_SKETCH_ESTIMATOR_H_
 
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "common/types.h"
+#include "query/attribute_order.h"
 #include "query/query.h"
 #include "storage/catalog.h"
 
 namespace adj::sampling {
+
+/// Sorted distinct values of base-relation columns, each computed
+/// (Relation::DistinctColumn: a copy and a sort) on its first request
+/// only. One table serves one planning run, which reads the same
+/// columns many times; it holds the relations by address, so it must
+/// not outlive them.
+class DistinctColumns {
+ public:
+  const std::vector<Value>& Get(const storage::Relation& rel, int col);
+
+ private:
+  std::map<std::pair<const storage::Relation*, int>, std::vector<Value>>
+      columns_;
+};
 
 /// Classic sketch-based (System-R style) cardinality estimator: per
 /// attribute distinct counts with uniformity + independence
@@ -20,6 +37,10 @@ class SketchEstimator {
  public:
   static StatusOr<SketchEstimator> Build(const query::Query& q,
                                          const storage::Catalog& db);
+  /// Build reading the distinct counts through `columns`.
+  static StatusOr<SketchEstimator> Build(const query::Query& q,
+                                         const storage::Catalog& db,
+                                         DistinctColumns& columns);
 
   /// Estimated size of the join of the atoms in `atoms`:
   ///   prod |R_i| / prod_A (product of the largest (c_A - 1) distinct
@@ -31,12 +52,24 @@ class SketchEstimator {
   /// `attrs` — the binding-count proxy for order selection.
   double EstimateBindings(AttrMask attrs) const;
 
+  /// A connected order of the attributes of the atoms in `atoms`:
+  /// every attribute after the first shares one of those atoms with
+  /// the attributes before it (a disconnected set of atoms starts a
+  /// new component only once the current one is used up). Built
+  /// greedily: each step appends the reachable attribute whose prefix
+  /// has the fewest estimated bindings, counting only the atoms in
+  /// `atoms`; ties go to the lowest attribute id.
+  query::AttributeOrder ConnectedOrder(AtomMask atoms) const;
+
   uint64_t distinct(int atom, AttrId a) const {
     return distinct_[size_t(atom)][size_t(a)];
   }
   uint64_t atom_size(int atom) const { return sizes_[size_t(atom)]; }
 
  private:
+  /// Atoms whose schema is contained in `attrs`.
+  AtomMask AtomsWithin(AttrMask attrs) const;
+
   const query::Query* q_ = nullptr;
   std::vector<uint64_t> sizes_;                 // per atom
   std::vector<std::vector<uint64_t>> distinct_; // per atom per attr (0 if absent)

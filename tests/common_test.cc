@@ -136,7 +136,7 @@ TEST(HashTest, Mix64IsInjectiveOnSample) {
 TEST(TimerTest, MeasuresElapsed) {
   WallTimer t;
   volatile double sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GE(t.Seconds(), 0.0);
 }
 

@@ -106,7 +106,9 @@ TEST_P(HCubeCorrectnessTest, UnionOfServersEqualsSequential) {
                                               atom.schema.attrs(), rank));
   }
   std::vector<HCubeInput> inputs;
-  for (const auto& p : prepared) inputs.push_back({&p.rel, p.attrs});
+  for (const auto& p : prepared) {
+    inputs.push_back(HCubeInput::Plain(&p.rel, p.attrs));
+  }
 
   ClusterConfig cfg;
   cfg.num_servers = num_servers;
@@ -163,7 +165,9 @@ TEST(HCubeTest, AccountingInvariants) {
                                               atom.schema.attrs(), rank));
   }
   std::vector<HCubeInput> inputs;
-  for (const auto& p : prepared) inputs.push_back({&p.rel, p.attrs});
+  for (const auto& p : prepared) {
+    inputs.push_back(HCubeInput::Plain(&p.rel, p.attrs));
+  }
 
   ClusterConfig cfg;
   cfg.num_servers = 4;
@@ -198,7 +202,7 @@ TEST(HCubeTest, TupleDupMatchesDupCubesWhenCubesFitServers) {
   storage::Relation r(storage::Schema({0}));
   for (Value v = 0; v < 100; ++v) r.Append({v});
   r.SortAndDedup();
-  std::vector<HCubeInput> inputs = {{&r, {0}}};
+  std::vector<HCubeInput> inputs = {HCubeInput::Plain(&r, {0})};
   ClusterConfig cfg;
   cfg.num_servers = 4;
   Cluster cluster(cfg);
@@ -211,7 +215,7 @@ TEST(HCubeTest, TupleDupMatchesDupCubesWhenCubesFitServers) {
 TEST(HCubeTest, MemoryBudgetViolationFails) {
   Rng rng(9);
   storage::Relation r = dataset::ErdosRenyi(100, 2000, rng);
-  std::vector<HCubeInput> inputs = {{&r, {0, 1}}};
+  std::vector<HCubeInput> inputs = {HCubeInput::Plain(&r, {0, 1})};
   ClusterConfig cfg;
   cfg.num_servers = 2;
   cfg.memory_per_server_bytes = 64;  // absurdly small
@@ -225,7 +229,7 @@ TEST(HCubeTest, MemoryBudgetViolationFails) {
 TEST(HCubeTest, RejectsZeroShare) {
   storage::Relation r(storage::Schema({0}));
   r.Append({1});
-  std::vector<HCubeInput> inputs = {{&r, {0}}};
+  std::vector<HCubeInput> inputs = {HCubeInput::Plain(&r, {0})};
   ClusterConfig cfg;
   Cluster cluster(cfg);
   ShareVector share{{0}};

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <string>
+#include <utility>
 
 #include "ghd/decomposition.h"
 #include "ghd/fractional_edge_cover.h"
@@ -72,6 +75,73 @@ TEST(FecTest, FiveCliqueIsFiveHalves) {
 
 TEST(FecTest, UncoveredVertexFails) {
   EXPECT_FALSE(FractionalEdgeCover(0b111, {0b011}).ok());
+}
+
+/// Bags (atoms/attrs/rho), join-tree parents and width of a
+/// decomposition, in one comparable line.
+std::string Fingerprint(const Decomposition& d) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "w=%.3f p=", d.width);
+  std::string out = buf;
+  for (size_t v = 0; v < d.parent.size(); ++v) {
+    if (v > 0) out += ',';
+    out += std::to_string(d.parent[v]);
+  }
+  out += " bags=";
+  for (size_t v = 0; v < d.bags.size(); ++v) {
+    std::snprintf(buf, sizeof(buf), "%s%#x/%#x/%.3f", v > 0 ? "," : "",
+                  d.bags[v].atoms, d.bags[v].attrs, d.bags[v].rho);
+    out += buf;
+  }
+  return out;
+}
+
+// The search must keep its enumeration order and tie-breaks: these
+// decompositions were recorded from the partition search before it
+// moved to dense per-mask tables, and the plans of every query depend
+// on them (bag numbering included).
+TEST(GhdTest, GoldenDecompositions) {
+  const char* kGolden[11] = {
+      "w=1.500 p=-1 bags=0x7/0x7/1.500",
+      "w=2.000 p=-1,0,0,0 bags=0x7/0xf/2.000,0x8/0x9/1.000,0x10/0x5/1.000,"
+      "0x20/0xa/1.000",
+      "w=2.500 p=-1,0,0,0,0,0 bags=0x1f/0x1f/2.500,0x20/0xa/1.000,"
+      "0x40/0x12/1.000,0x80/0x5/1.000,0x100/0x14/1.000,0x200/0x9/1.000",
+      "w=2.000 p=-1,0,0 bags=0x13/0x17/2.000,0xc/0x1c/2.000,0x20/0x12/1.000",
+      "w=2.000 p=-1,0,0,0 bags=0x19/0x1b/2.000,0x6/0xe/2.000,0x20/0x12/1.000,"
+      "0x40/0xa/1.000",
+      "w=2.000 p=1,-1,1,1,1 bags=0x11/0x13/2.000,0xe/0x1e/2.000,"
+      "0x20/0x12/1.000,0x40/0xa/1.000,0x80/0x14/1.000",
+      "w=1.000 p=1,-1 bags=0x1/0x3/1.000,0x2/0x6/1.000",
+      "w=1.000 p=1,2,-1 bags=0x1/0x3/1.000,0x2/0x5/1.000,0x4/0x9/1.000",
+      "w=1.000 p=1,-1,1 bags=0x1/0x3/1.000,0x2/0x6/1.000,0x4/0xc/1.000",
+      "w=2.000 p=1,-1 bags=0x7/0xf/2.000,0x8/0x9/1.000",
+      "w=1.500 p=1,-1 bags=0x7/0x7/1.500,0x8/0xc/1.000",
+  };
+  for (int qi = 1; qi <= 11; ++qi) {
+    auto q = query::MakeBenchmarkQuery(qi);
+    ASSERT_TRUE(q.ok());
+    auto d = FindOptimalGhd(*q);
+    ASSERT_TRUE(d.ok()) << "Q" << qi;
+    EXPECT_EQ(Fingerprint(*d), kGolden[qi - 1]) << "Q" << qi;
+  }
+  const std::pair<const char*, const char*> kOthers[] = {
+      {"R1(a,b,c) R2(a,d) R3(c,d) R4(b,e) R5(c,e)",
+       "w=2.000 p=-1,0,0 bags=0x3/0xf/2.000,0x4/0xc/1.000,0x18/0x16/2.000"},
+      {"R(a,b) S(b,c) T(c,d) U(d,e) V(e,f) W(f,a)",
+       "w=2.000 p=1,-1 bags=0x7/0xf/2.000,0x38/0x39/2.000"},
+      {"R(a,b) S(b,c) T(a,c) U(c,d) V(d,e) W(c,e)",
+       "w=1.500 p=1,-1 bags=0x7/0x7/1.500,0x38/0x1c/1.500"},
+      {"R(a,b,c) S(c,d,e) T(e,f,a) U(b,d,f)",
+       "w=2.000 p=1,-1 bags=0x3/0x1f/2.000,0xc/0x3b/2.000"},
+  };
+  for (const auto& [text, golden] : kOthers) {
+    auto q = Query::Parse(text);
+    ASSERT_TRUE(q.ok()) << text;
+    auto d = FindOptimalGhd(*q);
+    ASSERT_TRUE(d.ok()) << text;
+    EXPECT_EQ(Fingerprint(*d), golden) << text;
+  }
 }
 
 TEST(GhdTest, PaperExampleDecomposition) {

@@ -57,7 +57,7 @@ TEST(ShareVectorEdgeTest, EmptyAndZeroSharesAreInvalid) {
 
 TEST(HCubeEdgeTest, EmptyRelationShufflesForFree) {
   storage::Relation empty(storage::Schema({0, 1}));
-  std::vector<HCubeInput> inputs = {{&empty, {0, 1}}};
+  std::vector<HCubeInput> inputs = {HCubeInput::Plain(&empty, {0, 1})};
   ClusterConfig cfg;
   cfg.num_servers = 4;
   for (HCubeVariant variant :
@@ -82,7 +82,7 @@ TEST(HCubeEdgeTest, AllOnesSharesPlaceEverythingOnOneServer) {
   storage::Relation r(storage::Schema({0, 1}));
   for (Value v = 0; v < 50; ++v) r.Append({v, v + 1});
   r.SortAndDedup();
-  std::vector<HCubeInput> inputs = {{&r, {0, 1}}};
+  std::vector<HCubeInput> inputs = {HCubeInput::Plain(&r, {0, 1})};
   ClusterConfig cfg;
   cfg.num_servers = 4;
   Cluster cluster(cfg);
@@ -101,7 +101,7 @@ TEST(HCubeEdgeTest, SingleServerClusterReceivesWholeRelation) {
   storage::Relation r(storage::Schema({0}));
   for (Value v = 0; v < 30; ++v) r.Append({v});
   r.SortAndDedup();
-  std::vector<HCubeInput> inputs = {{&r, {0}}};
+  std::vector<HCubeInput> inputs = {HCubeInput::Plain(&r, {0})};
   ClusterConfig cfg;
   cfg.num_servers = 1;
   Cluster cluster(cfg);

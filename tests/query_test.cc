@@ -105,8 +105,8 @@ TEST(HypergraphTest, EdgesConnected) {
 TEST(HypergraphTest, GyoAcyclicOnTree) {
   // Path query a-b, b-c, c-d: acyclic.
   std::vector<AttrMask> edges = {0b0011, 0b0110, 0b1100};
-  std::vector<int> parent;
-  EXPECT_TRUE(Hypergraph::GyoAcyclic(edges, &parent));
+  std::vector<int> parent(edges.size());
+  EXPECT_TRUE(Hypergraph::GyoAcyclic(edges, parent.data()));
   // Exactly one root.
   int roots = 0;
   for (int p : parent) {
@@ -123,8 +123,8 @@ TEST(HypergraphTest, GyoRejectsTriangle) {
 TEST(HypergraphTest, GyoAcceptsContainedEdge) {
   // (a,b,c) with (a,b) inside it.
   std::vector<AttrMask> edges = {0b111, 0b011};
-  std::vector<int> parent;
-  EXPECT_TRUE(Hypergraph::GyoAcyclic(edges, &parent));
+  std::vector<int> parent(edges.size());
+  EXPECT_TRUE(Hypergraph::GyoAcyclic(edges, parent.data()));
   // One of the two edges roots the join tree, the other hangs off it.
   EXPECT_TRUE((parent[0] == -1 && parent[1] == 0) ||
               (parent[0] == 1 && parent[1] == -1));
@@ -133,8 +133,8 @@ TEST(HypergraphTest, GyoAcceptsContainedEdge) {
 TEST(HypergraphTest, GyoPaperExampleGroupedSchemas) {
   // Example 3: bags {a,b,c}, {a,c,d}, {b,c,e} are acyclic.
   std::vector<AttrMask> edges = {0b00111, 0b01101, 0b10110};
-  std::vector<int> parent;
-  EXPECT_TRUE(Hypergraph::GyoAcyclic(edges, &parent));
+  std::vector<int> parent(edges.size());
+  EXPECT_TRUE(Hypergraph::GyoAcyclic(edges, parent.data()));
 }
 
 TEST(HypergraphTest, VerticesOf) {

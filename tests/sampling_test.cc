@@ -9,6 +9,7 @@
 #include "common/rng.h"
 #include "dataset/generators.h"
 #include "dist/thread_pool.h"
+#include "query/hypergraph.h"
 #include "query/queries.h"
 #include "sampling/sampler.h"
 #include "sampling/sketch_estimator.h"
@@ -128,6 +129,37 @@ TEST(SamplerTest, SemijoinReductionShrinksComm) {
   auto big = SampleCardinality(*q, db, {0, 1, 2}, big_opts);
   ASSERT_TRUE(small.ok() && big.ok());
   EXPECT_LT(small->comm.tuple_copies, big->comm.tuple_copies);
+}
+
+TEST(SemiJoinCountTest, MatchesSemiJoinFilter) {
+  // The modeled reduced shuffle counts the rows a semijoin filter on
+  // the leading column would keep, without building the filtered copy.
+  Rng rng(37);
+  for (int arity = 1; arity <= 3; ++arity) {
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<AttrId> attrs;
+      for (int c = 0; c < arity; ++c) attrs.push_back(c);
+      storage::Relation rel{storage::Schema(attrs)};
+      const uint64_t rows = rng.Uniform(300);
+      const uint64_t domain = 1 + rng.Uniform(40);
+      for (uint64_t r = 0; r < rows; ++r) {
+        std::vector<Value> t;
+        for (int c = 0; c < arity; ++c) t.push_back(Value(rng.Uniform(domain)));
+        rel.Append(std::span<const Value>(t));
+      }
+      rel.SortAndDedup();
+      std::vector<Value> keep;
+      const uint64_t keys = rng.Uniform(2 * domain + 1);
+      for (uint64_t k = 0; k < keys; ++k) {
+        keep.push_back(Value(rng.Uniform(domain + 5)));
+      }
+      std::sort(keep.begin(), keep.end());
+      keep.erase(std::unique(keep.begin(), keep.end()), keep.end());
+      EXPECT_EQ(CountSemiJoinRows(rel, keep),
+                rel.SemiJoinFilter(0, keep).size())
+          << "arity " << arity << " trial " << trial;
+    }
+  }
 }
 
 TEST(SamplerTest, EmptyJoinEstimatesZero) {
@@ -289,6 +321,77 @@ TEST(SketchTest, EstimateBindingsSelectsContainedAtoms) {
                    double((*db.Get("G"))->size()));
   // No atoms inside {a}: neutral 1.0.
   EXPECT_DOUBLE_EQ(sketch->EstimateBindings(0b001), 1.0);
+}
+
+/// True if every attribute of `order` after the first shares an atom
+/// of `atoms` with the attributes before it.
+bool IsConnectedOrder(const Query& q, AtomMask atoms,
+                      const query::AttributeOrder& order) {
+  AttrMask prefix = 0;
+  for (size_t i = 0; i < order.size(); ++i) {
+    const AttrMask bit = AttrMask(1) << order[i];
+    bool linked = i == 0;
+    for (int a = 0; a < q.num_atoms() && !linked; ++a) {
+      const AttrMask schema = q.atom(a).schema.Mask();
+      linked = (atoms & (AtomMask(1) << a)) != 0 && (schema & bit) != 0 &&
+               (schema & prefix) != 0;
+    }
+    if (!linked) return false;
+    prefix |= bit;
+  }
+  return true;
+}
+
+TEST(SketchTest, ConnectedOrderOnEveryConnectedSubQuery) {
+  Rng rng(41);
+  storage::Catalog db;
+  ASSERT_TRUE(db.Apply(
+      WriteBatch().Create("G", dataset::ZipfGraph(60, 500, 0.8, rng))).ok());
+  for (const int qi : {3, 5}) {
+    auto q = query::MakeBenchmarkQuery(qi);
+    ASSERT_TRUE(q.ok());
+    auto sketch = SketchEstimator::Build(*q, db);
+    ASSERT_TRUE(sketch.ok());
+    const query::Hypergraph h(*q);
+    int checked = 0;
+    for (AtomMask mask = 1; mask < (AtomMask(1) << q->num_atoms()); ++mask) {
+      if (!h.EdgesConnected(mask)) continue;
+      const query::AttributeOrder order = sketch->ConnectedOrder(mask);
+      // Each attribute of the sub-query exactly once...
+      AttrMask seen = 0;
+      for (AttrId a : order) {
+        EXPECT_EQ(seen & (AttrMask(1) << a), 0u) << "Q" << qi;
+        seen |= AttrMask(1) << a;
+      }
+      EXPECT_EQ(seen, h.VerticesOf(mask)) << "Q" << qi << " mask " << mask;
+      // ...and each one after the first joined to its prefix.
+      EXPECT_TRUE(IsConnectedOrder(*q, mask, order))
+          << "Q" << qi << " mask " << mask << " order "
+          << query::OrderToString(order, *q);
+      ++checked;
+    }
+    EXPECT_GT(checked, q->num_atoms());
+  }
+  // Q5's path bag {G(a,b), G(d,e), G(e,a)}: the attribute-id order
+  // a<b<d<e would reach d through no atom (a cross product per
+  // sample); the connected order walks the path instead.
+  auto q5 = query::MakeBenchmarkQuery(5);
+  auto sketch = SketchEstimator::Build(*q5, db);
+  ASSERT_TRUE(sketch.ok());
+  EXPECT_EQ(sketch->ConnectedOrder(0b0011001),
+            (query::AttributeOrder{0, 1, 4, 3}));
+}
+
+TEST(SketchTest, ConnectedOrderCoversDisconnectedAtoms) {
+  storage::Catalog db;
+  ASSERT_TRUE(
+      db.Apply(WriteBatch().Create("G", dataset::CompleteGraph(6))).ok());
+  auto q = Query::Parse("G(a,b) G(b,c) G(d,e)");
+  auto sketch = SketchEstimator::Build(*q, db);
+  ASSERT_TRUE(sketch.ok());
+  // One component after the other.
+  EXPECT_EQ(sketch->ConnectedOrder(0b111),
+            (query::AttributeOrder{0, 1, 2, 3, 4}));
 }
 
 }  // namespace

@@ -335,7 +335,9 @@ dist::Cluster ShuffleIndex(
   in.pin = index;
   in.shared_rel = index->rel;
   in.trie = index->trie;
-  dist::Cluster cluster(dist::ClusterConfig{.num_servers = 4});
+  dist::ClusterConfig config;
+  config.num_servers = 4;
+  dist::Cluster cluster(config);
   StatusOr<dist::HCubeResult> shuffled =
       dist::HCubeShuffle({in}, share, variant, &cluster, cache, stats);
   EXPECT_TRUE(shuffled.ok()) << shuffled.status();
