@@ -1,8 +1,13 @@
 // Micro-benchmarks (google-benchmark) for the hot primitives: trie
 // build, trie seek, k-way leapfrog intersection, sequential Leapfrog,
 // and the HCube shuffle. These are the constants (alpha, beta) the
-// cost model of Sec. III-B is calibrated from.
+// cost model of Sec. III-B is calibrated from. BM_ForkJoin times the
+// shared pool's fixed cost per fan-out.
 #include <benchmark/benchmark.h>
+
+#include <atomic>
+#include <functional>
+#include <vector>
 
 #include "common/logging.h"
 #include "common/rng.h"
@@ -10,6 +15,7 @@
 #include "dist/cluster.h"
 #include "storage/catalog.h"
 #include "dist/hcube.h"
+#include "dist/thread_pool.h"
 #include "query/queries.h"
 #include "wcoj/leapfrog.h"
 
@@ -128,6 +134,16 @@ BENCHMARK(BM_HCubeShuffle)
     ->Arg(int(dist::HCubeVariant::kPush))
     ->Arg(int(dist::HCubeVariant::kPull))
     ->Arg(int(dist::HCubeVariant::kMerge));
+
+/// One fork-join of 4 near-empty tasks on the shared pool: the fixed
+/// cost every threaded RunHCubeJ and sampling pass pays per call.
+void BM_ForkJoin(benchmark::State& state) {
+  std::atomic<uint64_t> ran{0};
+  const std::vector<std::function<void()>> tasks(4, [&ran] { ++ran; });
+  for (auto _ : state) dist::RunTasks(4, tasks);
+  benchmark::DoNotOptimize(ran.load());
+}
+BENCHMARK(BM_ForkJoin)->UseRealTime();
 
 }  // namespace
 }  // namespace adj

@@ -1,6 +1,7 @@
 #ifndef ADJ_BENCH_BENCH_UTIL_H_
 #define ADJ_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -29,6 +30,14 @@ inline double ScaleFromEnv(double def = 0.2) {
 inline int ServersFromEnv(int def = 4) {
   const char* s = std::getenv("ADJ_BENCH_SERVERS");
   return s != nullptr ? std::atoi(s) : def;
+}
+
+/// Median of a timing gate's repetitions (the upper middle value for
+/// an even count): one slow or fast outlier cannot move it.
+inline double Median(std::vector<double> v) {
+  ADJ_CHECK(!v.empty());
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
 }
 
 /// Loads (and caches) a builtin dataset at the bench scale, as an

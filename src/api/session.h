@@ -91,10 +91,12 @@ class Session {
   /// is current.
   StatusOr<PreparedQuery> Reprepare(const PreparedQuery& prepared) const;
 
-  /// Executes `queries` concurrently over a dist::ThreadPool against
-  /// the shared read-only catalog; the returned vector aligns
-  /// index-wise with `queries` (failures folded into each Result).
-  /// threads <= 0 picks min(#queries, hardware threads).
+  /// Executes `queries` concurrently through dist::RunTasks (the
+  /// calling thread and the process-wide pool) against the shared
+  /// read-only catalog; the returned vector aligns index-wise with
+  /// `queries` (failures folded into each Result). At most `threads`
+  /// run at once, and never more than the pool's workers plus the
+  /// caller; threads <= 0 picks min(#queries, hardware threads).
   std::vector<Result> RunBatch(const std::vector<BatchQuery>& queries,
                                int threads = 0) const;
 

@@ -295,10 +295,16 @@ StatusOr<PlanResult> Engine::Plan(const query::Query& q,
     in.cost_model.beta_raw =
         std::min(result.beta_raw, in.cost_model.beta_precomputed);
   }
-  for (const query::Atom& atom : q.atoms()) {
-    StatusOr<const storage::Relation*> base = db_->Get(atom.relation);
-    if (!base.ok()) return base.status();
-    in.atom_tuples.push_back((*base)->size());
+  // Distinct tuples per atom: the bound indexes' counts when the main
+  // pass ran, else the base sizes (which count duplicate rows).
+  if (full_est.ok()) {
+    in.atom_tuples = full_est->atom_tuples;
+  } else {
+    for (const query::Atom& atom : q.atoms()) {
+      StatusOr<const storage::Relation*> base = db_->Get(atom.relation);
+      if (!base.ok()) return base.status();
+      in.atom_tuples.push_back((*base)->size());
+    }
   }
   in.estimate_bindings = [&](AttrMask attrs) {
     return ctx.JoinSize(AtomsWithin(q, attrs));

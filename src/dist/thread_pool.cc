@@ -5,8 +5,36 @@
 namespace adj::dist {
 
 namespace {
+
 thread_local bool on_pool_thread = false;
+
+/// Runs one batch task as a pool thread, so it does not fan out again.
+void RunAsPoolThread(const std::function<void()>& task) {
+  const bool was = on_pool_thread;
+  on_pool_thread = true;
+  task();
+  on_pool_thread = was;
+}
+
+/// The process-wide pool behind RunTasks. Never destroyed: its workers
+/// stay parked on it until the process exits.
+ThreadPool& SharedPool() {
+  static ThreadPool* const pool = new ThreadPool(
+      int(std::max(2u, std::thread::hardware_concurrency())) - 1);
+  return *pool;
+}
+
 }  // namespace
+
+/// One ForkJoin call, living on its caller's stack. Guarded by mu_.
+struct ThreadPool::Batch {
+  const std::vector<std::function<void()>>* tasks = nullptr;
+  size_t next = 0;      // next unclaimed task
+  size_t done = 0;      // finished tasks
+  int helpers = 0;      // tasks workers are running now
+  int max_helpers = 0;  // cap on `helpers`
+  std::condition_variable done_cv;
+};
 
 bool OnPoolThread() { return on_pool_thread; }
 
@@ -33,20 +61,39 @@ ThreadPool::~ThreadPool() {
   for (std::thread& worker : workers_) worker.join();
 }
 
+ThreadPool::Batch* ThreadPool::HelpableBatch() const {
+  for (Batch* batch : batches_) {
+    if (batch->helpers < batch->max_helpers) return batch;
+  }
+  return nullptr;
+}
+
+size_t ThreadPool::Claim(Batch& batch) {
+  const size_t i = batch.next++;
+  if (batch.next == batch.tasks->size()) {
+    batches_.erase(std::find(batches_.begin(), batches_.end(), &batch));
+  }
+  return i;
+}
+
 void ThreadPool::WorkerLoop() {
   on_pool_thread = true;
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
     work_cv_.wait(lock, [this] {
-      return stop_ || !submitted_.empty() ||
-             (tasks_ != nullptr && next_ < tasks_->size());
+      return stop_ || !submitted_.empty() || HelpableBatch() != nullptr;
     });
-    while (tasks_ != nullptr && next_ < tasks_->size()) {
-      const size_t i = next_++;
+    if (Batch* batch = HelpableBatch()) {
+      const size_t i = Claim(*batch);
+      ++batch->helpers;
       lock.unlock();
-      (*tasks_)[i]();
+      (*batch->tasks)[i]();
       lock.lock();
-      if (++done_ == tasks_->size()) done_cv_.notify_all();
+      --batch->helpers;
+      // The caller may return (and free the batch) once mu_ is
+      // released after the last task, so touch nothing after this.
+      if (++batch->done == batch->tasks->size()) batch->done_cv.notify_one();
+      continue;
     }
     if (!submitted_.empty()) {
       std::function<void()> task = std::move(submitted_.front());
@@ -56,7 +103,7 @@ void ThreadPool::WorkerLoop() {
       task();
       lock.lock();
       if (--submitted_active_ == 0 && submitted_.empty()) {
-        done_cv_.notify_all();
+        idle_cv_.notify_all();
       }
       continue;
     }
@@ -66,15 +113,27 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-void ThreadPool::RunAll(const std::vector<std::function<void()>>& tasks) {
+void ThreadPool::ForkJoin(const std::vector<std::function<void()>>& tasks,
+                          int max_threads) {
   if (tasks.empty()) return;
+  Batch batch;
+  batch.tasks = &tasks;
+  batch.max_helpers = std::max(0, max_threads - 1);
   std::unique_lock<std::mutex> lock(mu_);
-  tasks_ = &tasks;
-  next_ = 0;
-  done_ = 0;
-  work_cv_.notify_all();
-  done_cv_.wait(lock, [this, &tasks] { return done_ == tasks.size(); });
-  tasks_ = nullptr;
+  batches_.push_back(&batch);
+  const size_t wake = std::min({tasks.size() - 1, size_t(batch.max_helpers),
+                                workers_.size()});
+  for (size_t w = 0; w < wake; ++w) work_cv_.notify_one();
+  // Caller-helps: run unclaimed tasks here, then wait only for the
+  // tasks workers already hold, which are running.
+  while (batch.next < tasks.size()) {
+    const size_t i = Claim(batch);
+    lock.unlock();
+    RunAsPoolThread(tasks[i]);
+    lock.lock();
+    ++batch.done;
+  }
+  batch.done_cv.wait(lock, [&] { return batch.done == tasks.size(); });
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
@@ -87,7 +146,7 @@ void ThreadPool::Submit(std::function<void()> task) {
 
 void ThreadPool::WaitIdle() {
   std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [this] {
+  idle_cv_.wait(lock, [this] {
     return submitted_.empty() && submitted_active_ == 0;
   });
 }
@@ -97,8 +156,7 @@ void RunTasks(int threads, const std::vector<std::function<void()>>& tasks) {
     for (const std::function<void()>& task : tasks) task();
     return;
   }
-  ThreadPool pool(int(std::min<size_t>(size_t(threads), tasks.size())));
-  pool.RunAll(tasks);
+  SharedPool().ForkJoin(tasks, threads);
 }
 
 }  // namespace adj::dist

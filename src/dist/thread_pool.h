@@ -14,21 +14,23 @@ namespace adj::dist {
 
 /// Reusable fixed-size worker pool with two modes of use:
 ///
-/// - Batch mode — RunAll() blocks until every task of the batch has
-///   executed exactly once. Used to run the simulated servers of one
-///   cluster concurrently (exec::RunHCubeJ's worker_threads) and
-///   reusable across batches so multi-stage plans do not re-spawn
-///   threads per stage.
-/// - Streaming mode — Submit() enqueues one task and returns
-///   immediately; some worker runs it as soon as it is free. This is
-///   the serving mode: serve::Server admits each accepted request as
-///   one submitted task. WaitIdle() blocks until all submitted tasks
-///   have drained, and the destructor drains any still-pending
-///   submitted tasks before joining (a submitted task is never
-///   dropped).
+/// - Fork-join — ForkJoin() runs every task of a batch exactly once
+///   and returns when all are done. The calling thread runs tasks of
+///   its own batch too (caller-helps), so a batch always completes,
+///   even when every worker is busy or the call is made from inside
+///   another batch's task. Batches posted at the same time from
+///   different threads share the workers, oldest batch first. This is
+///   how RunTasks spreads the simulated servers' joins and the
+///   sampler's pinned runs over the cores, on one process-wide pool.
+/// - Streaming — Submit() enqueues one task and returns immediately;
+///   some worker runs it as soon as it is free. This is the serving
+///   mode: serve::Server admits each accepted request as one submitted
+///   task. WaitIdle() blocks until all submitted tasks have drained,
+///   and the destructor drains any still-pending submitted tasks
+///   before joining (a submitted task is never dropped).
 ///
-/// The modes may interleave on one pool; workers prefer the active
-/// batch, then the submitted queue.
+/// The modes may interleave on one pool; workers prefer batch tasks,
+/// then the submitted queue.
 class ThreadPool {
  public:
   explicit ThreadPool(int num_threads);
@@ -39,10 +41,13 @@ class ThreadPool {
 
   int num_threads() const { return int(workers_.size()); }
 
-  /// Runs every task of `tasks` exactly once across the workers and
-  /// returns when all are done. An empty batch is a no-op. Not
-  /// re-entrant: one batch at a time per pool.
-  void RunAll(const std::vector<std::function<void()>>& tasks);
+  /// Runs every task of `tasks` exactly once on the calling thread and
+  /// at most `max_threads - 1` workers at a time, and returns when all
+  /// are done. The caller runs unclaimed tasks itself, then waits only
+  /// for tasks other threads are already running. An empty batch is a
+  /// no-op. Safe to call concurrently and from inside a task.
+  void ForkJoin(const std::vector<std::function<void()>>& tasks,
+                int max_threads = std::numeric_limits<int>::max());
 
   /// Streaming mode: enqueues `task` to run exactly once on some
   /// worker and returns immediately. There is no internal bound on the
@@ -52,38 +57,49 @@ class ThreadPool {
   void Submit(std::function<void()> task);
 
   /// Blocks until the submitted queue is empty and no submitted task
-  /// is in flight. Batches (RunAll) are not waited on. Tasks submitted
-  /// concurrently with the wait may or may not be covered by it.
+  /// is in flight. Batches (ForkJoin) are not waited on. Tasks
+  /// submitted concurrently with the wait may or may not be covered.
   void WaitIdle();
 
  private:
+  struct Batch;
+
   void WorkerLoop();
+  /// Oldest posted batch with an unclaimed task and a free helper
+  /// slot, or nullptr. Requires mu_.
+  Batch* HelpableBatch() const;
+  /// Claims the next task of `batch`; unlists the batch once its last
+  /// task is claimed. Requires mu_.
+  size_t Claim(Batch& batch);
 
   std::mutex mu_;
   std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  const std::vector<std::function<void()>>* tasks_ = nullptr;  // guarded by mu_
-  size_t next_ = 0;   // next unclaimed task index
-  size_t done_ = 0;   // tasks finished in the current batch
+  std::condition_variable idle_cv_;
+  std::vector<Batch*> batches_;  // posted, not fully claimed; oldest first
   std::deque<std::function<void()>> submitted_;  // streaming-mode queue
   size_t submitted_active_ = 0;  // submitted tasks currently executing
   bool stop_ = false;
   std::vector<std::thread> workers_;
 };
 
-/// Runs `tasks` on `threads` host threads and blocks until all finish.
-/// threads <= 1 executes inline, sequentially, in submission order —
-/// the right mode for cost measurements (per-task timings undistorted).
+/// Runs `tasks` on at most `threads` host threads and blocks until all
+/// finish. threads <= 1 (or a single task) executes inline,
+/// sequentially, in submission order — the right mode for cost
+/// measurements (per-task timings undistorted). Otherwise the calling
+/// thread and the process-wide pool share the batch: the pool starts
+/// on first use with hardware threads - 1 workers (at least one) and
+/// lives for the rest of the process.
 void RunTasks(int threads, const std::vector<std::function<void()>>& tasks);
 
-/// True on a ThreadPool worker (which includes RunTasks' threads).
-/// Code that could fan out further — the planner's sampling passes,
-/// the per-server joins — stays serial there: the pool already spreads
+/// True on a ThreadPool worker, and while a thread runs a task of a
+/// ForkJoin batch (RunTasks' threads, its caller included). Code that
+/// could fan out further — the planner's sampling passes, the
+/// per-server joins — stays serial there: the batch already spreads
 /// work over the cores.
 bool OnPoolThread();
 
 /// Threads for a fan-out of `tasks` independent tasks started on this
-/// thread: min(tasks, hardware threads), or 1 on a pool worker (a
+/// thread: min(tasks, hardware threads), or 1 on a pool thread (a
 /// serve worker, a RunBatch query), where concurrent callers already
 /// share the cores. The one thread rule of sampling passes and of
 /// exec::RunHCubeJ's per-server joins.

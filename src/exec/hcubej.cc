@@ -1,8 +1,11 @@
 #include "exec/hcubej.h"
 
 #include <algorithm>
+#include <atomic>
 #include <functional>
 #include <memory>
+#include <numeric>
+#include <optional>
 #include <set>
 
 #include "common/timer.h"
@@ -10,6 +13,104 @@
 #include "optimizer/share_optimizer.h"
 
 namespace adj::exec {
+
+namespace {
+
+/// Morsels per fan-out thread: enough that a heaviest-first queue
+/// evens out the threads' loads, few enough that a morsel's root
+/// narrowing and its thread's Leapfrog bind stay cheap beside it.
+constexpr uint64_t kMorselsPerThread = 8;
+
+/// A contiguous range of one server's root values, and its outcome.
+struct Morsel {
+  int server = 0;
+  wcoj::RootRange range;
+  uint64_t weight = 0;
+  Status status;
+  uint64_t count = 0;
+  wcoj::JoinStats stats;
+  double cpu_s = 0.0;
+  storage::Relation results;
+};
+
+/// How one server's join is cut into morsels: along the root
+/// participant (an input whose first level is the root attribute) with
+/// the fewest root values, preferring one with a child level. A root
+/// value weighs its child-range width there, or 1 when that input is
+/// unary — the trie's child offsets are the running weight, so a cut
+/// is a binary search, not a scan.
+class RootCut {
+ public:
+  static RootCut Of(const std::vector<wcoj::JoinInput>& inputs, AttrId root) {
+    const auto better = [](const storage::Trie* a, const storage::Trie* b) {
+      if ((a->arity() > 1) != (b->arity() > 1)) return a->arity() > 1;
+      return a->LevelSize(0) < b->LevelSize(0);
+    };
+    RootCut cut;
+    for (const wcoj::JoinInput& in : inputs) {
+      if (in.attrs.empty() || in.attrs[0] != root) continue;
+      if (cut.trie_ == nullptr || better(in.trie, cut.trie_)) {
+        cut.trie_ = in.trie;
+      }
+    }
+    if (cut.trie_ != nullptr && cut.trie_->arity() > 1) {
+      cut.kids_ = cut.trie_->ChildBeginSpan(0);
+    }
+    return cut;
+  }
+
+  /// Weight of the whole server (at least 1).
+  uint64_t Weight() const { return std::max<uint64_t>(1, Before(Size())); }
+
+  /// Appends the server's morsels: at most `parts` contiguous root
+  /// ranges of roughly equal weight, in root-value order. The first
+  /// starts at 0 and the last runs to the end of the value domain, so
+  /// together they cover every root value.
+  void Cut(int server, uint64_t parts, std::vector<Morsel>* out) const {
+    const uint32_t n = Size();
+    const uint64_t total = Weight();
+    uint32_t begin = 0;  // root index the next morsel starts at
+    Morsel m;
+    m.server = server;
+    for (uint64_t j = 1; j < parts && begin + 1 < n; ++j) {
+      // The first root index past `begin` whose prefix weight reaches
+      // j/parts of the total ends this morsel.
+      const uint64_t target = total * j / parts;
+      uint32_t a = begin + 1, b = n;
+      while (a < b) {
+        const uint32_t mid = a + (b - a) / 2;
+        if (Before(mid) < target) {
+          a = mid + 1;
+        } else {
+          b = mid;
+        }
+      }
+      if (a == n) break;
+      m.range.hi = trie_->ValueAt(0, a);
+      m.weight = Before(a) - Before(begin);
+      out->push_back(m);
+      m.range.lo = m.range.hi;
+      begin = a;
+    }
+    m.range.hi = wcoj::RootRange{}.hi;
+    m.weight = total - Before(begin);
+    out->push_back(std::move(m));
+  }
+
+ private:
+  uint32_t Size() const {
+    return trie_ == nullptr ? 0 : uint32_t(trie_->LevelSize(0));
+  }
+  /// Weight of the first `idx` root values.
+  uint64_t Before(uint32_t idx) const {
+    return kids_.empty() ? idx : kids_[idx] - kids_[0];
+  }
+
+  const storage::Trie* trie_ = nullptr;
+  std::span<const uint32_t> kids_;
+};
+
+}  // namespace
 
 StatusOr<std::vector<BoundAtom>> BindAtomsForOrder(
     const query::Query& q, const storage::Catalog& db,
@@ -113,14 +214,15 @@ StatusOr<HCubeJOutput> RunHCubeJ(const query::Query& q,
   out.report.comp_s += shuffle->build_seconds_max;
   out.report.overhead_s = cluster->config().net.stage_overhead_s;
 
-  // Per-server Leapfrog, one server per task. Every server's Leapfrog
-  // (and its HCubeJ+Cache intersection cache) is bound here, on the
-  // calling thread, so the workers only run joins and their threads
-  // grow no malloc arenas of their own. Each server is timed in its
-  // thread's CPU time, so comp_s stays the makespan of the modeled
-  // cluster whatever the thread count; results land in per-server
-  // slots merged in server order, so counts, per-level stats and
-  // collected output do not depend on it either.
+  // Per-server Leapfrog, cut into morsels: contiguous ranges of one
+  // server's root values that any thread may take (see RootCut).
+  // Each thread reuses one Leapfrog per server it joins, bound on its
+  // first morsel there. Every server is timed in thread CPU time summed
+  // over its morsels, so comp_s stays the makespan of the modeled
+  // cluster whatever the thread count; results land in per-morsel slots
+  // merged in (server, morsel) order, so counts, per-level stats and
+  // collected output do not depend on it either. HCubeJ+Cache servers
+  // stay one morsel each: their IntersectionCache is not thread-safe.
   const bool collect = params.collect_output;
   const storage::Schema out_schema(
       std::vector<AttrId>(order.begin(), order.end()));
@@ -128,18 +230,13 @@ StatusOr<HCubeJOutput> RunHCubeJ(const query::Query& q,
   struct ServerJoin {
     std::vector<wcoj::JoinInput> inputs;
     std::unique_ptr<wcoj::IntersectionCache> cache;
-    wcoj::Leapfrog leapfrog;
-    Status status;
-    uint64_t count = 0;
-    wcoj::JoinStats stats;
-    double cpu_s = 0.0;
-    storage::Relation results;
-    wcoj::EmitFn emit;
+    std::atomic<uint64_t> extensions{0};  // of this server's finished morsels
   };
-  // Sized once: each Leapfrog borrows its slot's inputs by address.
-  std::vector<ServerJoin> servers(size_t(cluster->num_servers()));
-  std::vector<std::function<void()>> tasks;
-  for (int s = 0; s < cluster->num_servers(); ++s) {
+  // Sized once: each Leapfrog borrows its server's inputs by address.
+  const int num_servers = cluster->num_servers();
+  std::vector<ServerJoin> servers(static_cast<size_t>(num_servers));
+  std::vector<int> active;
+  for (int s = 0; s < num_servers; ++s) {
     ServerJoin& slot = servers[size_t(s)];
     const dist::LocalShard& shard = cluster->shard(s);
     bool any_empty = false;
@@ -158,54 +255,130 @@ StatusOr<HCubeJOutput> RunHCubeJ(const query::Query& q,
       slot.cache = std::make_unique<wcoj::IntersectionCache>(
           free_bytes / sizeof(Value));
     }
-    StatusOr<wcoj::Leapfrog> leapfrog = wcoj::Leapfrog::Bind(
-        slot.inputs, order, params.limits, slot.cache.get());
-    if (!leapfrog.ok()) {
-      slot.status = leapfrog.status();
-      continue;
+    active.push_back(s);
+  }
+  int threads = params.worker_threads;
+  if (threads <= 0) {
+    threads = params.use_cache ? dist::FanOutThreads(active.size())
+                               : dist::FanOutThreads();
+  }
+  std::vector<Morsel> morsels;
+  {
+    // A server's share of the morsels follows its share of the weight.
+    std::vector<RootCut> cuts;
+    uint64_t total_weight = 0;
+    for (const int s : active) {
+      cuts.push_back(RootCut::Of(servers[size_t(s)].inputs, order[0]));
+      total_weight += cuts.back().Weight();
     }
-    slot.leapfrog = std::move(*leapfrog);
-    slot.stats.tuples_at_level.assign(order.size(), 0);
-    if (collect) {
-      slot.results = storage::Relation(out_schema);
-      slot.emit = [&slot](std::span<const Value> tuple) {
-        slot.results.Append(tuple);
-      };
+    const uint64_t total_morsels =
+        threads > 1 && !params.use_cache
+            ? kMorselsPerThread * uint64_t(threads)
+            : 0;  // each server whole
+    for (size_t k = 0; k < active.size(); ++k) {
+      const uint64_t share = total_morsels * cuts[k].Weight();
+      cuts[k].Cut(active[k], (share + total_weight - 1) / total_weight,
+                  &morsels);
     }
-    tasks.push_back([&slot, collect] {
-      const ThreadCpuTimer cpu;
-      StatusOr<uint64_t> count =
-          slot.leapfrog.Run(collect ? &slot.emit : nullptr, &slot.stats);
-      slot.cpu_s = cpu.Seconds();
-      if (count.ok()) {
-        slot.count = *count;
-      } else {
-        slot.status = count.status();
+  }
+  threads = int(std::min<size_t>(size_t(threads), morsels.size()));
+  for (Morsel& m : morsels) {
+    m.stats.tuples_at_level.assign(order.size(), 0);
+    if (collect) m.results = storage::Relation(out_schema);
+  }
+  // Heaviest first, so the last morsels a thread takes are light ones.
+  std::vector<size_t> queue(morsels.size());
+  std::iota(queue.begin(), queue.end(), size_t{0});
+  std::stable_sort(queue.begin(), queue.end(), [&](size_t a, size_t b) {
+    return morsels[a].weight > morsels[b].weight;
+  });
+  // leapfrogs[w * servers + s]: thread w's Leapfrog for server s.
+  std::vector<std::optional<wcoj::Leapfrog>> leapfrogs(size_t(threads) *
+                                                       servers.size());
+  std::atomic<size_t> next{0};
+  std::atomic<bool> failed{false};
+  const WallTimer join_timer;
+  std::vector<std::function<void()>> tasks;
+  for (int w = 0; w < threads; ++w) {
+    tasks.push_back([&, w] {
+      for (size_t i = next.fetch_add(1); i < queue.size();
+           i = next.fetch_add(1)) {
+        // A failed morsel fails the run: skip the rest.
+        if (failed) return;
+        Morsel& m = morsels[queue[i]];
+        ServerJoin& server = servers[size_t(m.server)];
+        std::optional<wcoj::Leapfrog>& leapfrog =
+            leapfrogs[size_t(w) * servers.size() + size_t(m.server)];
+        if (!leapfrog.has_value()) {
+          StatusOr<wcoj::Leapfrog> bound = wcoj::Leapfrog::Bind(
+              server.inputs, order, params.limits, server.cache.get());
+          if (!bound.ok()) {
+            m.status = bound.status();
+            failed = true;
+            return;
+          }
+          leapfrog = std::move(*bound);
+        }
+        // The server's limits, less what its finished morsels spent:
+        // a morsel trips once the server's remaining budget is gone.
+        wcoj::JoinLimits limits = params.limits;
+        limits.max_extensions -=
+            std::min(server.extensions.load(), limits.max_extensions);
+        limits.max_seconds -= join_timer.Seconds();
+        wcoj::EmitFn emit;
+        if (collect) {
+          emit = [&m](std::span<const Value> tuple) {
+            m.results.Append(tuple);
+          };
+        }
+        const ThreadCpuTimer cpu;
+        StatusOr<uint64_t> count = leapfrog->Run(collect ? &emit : nullptr,
+                                                 &m.stats, m.range, limits);
+        m.cpu_s = cpu.Seconds();
+        server.extensions += m.stats.extensions;
+        if (count.ok()) {
+          m.count = *count;
+        } else {
+          m.status = count.status();
+          failed = true;
+        }
       }
     });
   }
-  const int threads = params.worker_threads > 0
-                          ? params.worker_threads
-                          : dist::FanOutThreads(tasks.size());
   dist::RunTasks(threads, tasks);
 
-  double max_join_s = 0.0;
+  std::vector<double> server_cpu_s(servers.size(), 0.0);
   wcoj::JoinStats all_stats;
   uint64_t total = 0;
-  for (ServerJoin& slot : servers) {
-    if (!slot.status.ok()) {
-      out.report.status = slot.status;
+  for (const Morsel& m : morsels) {
+    if (!m.status.ok()) {
+      out.report.status = m.status;
       return out;
     }
-    total += slot.count;
-    max_join_s = std::max(max_join_s, slot.cpu_s);
-    all_stats.Merge(slot.stats);
+  }
+  for (const int s : active) {
+    // Morsels that each stayed inside their share of the budget can
+    // still sum past it.
+    if (servers[size_t(s)].extensions.load() > params.limits.max_extensions) {
+      out.report.status =
+          Status::ResourceExhausted("join exceeded extension budget");
+      return out;
+    }
+  }
+  for (const Morsel& m : morsels) {
+    total += m.count;
+    server_cpu_s[size_t(m.server)] += m.cpu_s;
+    all_stats.Merge(m.stats);
     if (collect) {
-      for (uint64_t r = 0; r < slot.results.size(); ++r) {
-        out.results.Append(slot.results.Row(r));
+      for (uint64_t r = 0; r < m.results.size(); ++r) {
+        out.results.Append(m.results.Row(r));
       }
     }
   }
+  const double max_join_s =
+      server_cpu_s.empty()
+          ? 0.0
+          : *std::max_element(server_cpu_s.begin(), server_cpu_s.end());
   out.report.comp_s += max_join_s;
   out.report.output_count = total;
   out.report.tuples_at_level = all_stats.tuples_at_level;

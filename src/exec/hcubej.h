@@ -50,10 +50,14 @@ struct HCubeJParams {
   /// (used by pre-computation); otherwise results are only counted.
   bool collect_output = false;
   /// Host threads running the simulated servers' joins. 0 (default)
-  /// chooses dist::FanOutThreads(servers with work): one per server up
-  /// to the host's cores, or 1 on a pool worker. 1 runs them inline, in
-  /// server order. Per-server times are thread CPU time, so comp_s does
-  /// not depend on this setting.
+  /// chooses dist::FanOutThreads(): the host's cores, or 1 on a pool
+  /// thread. With 2+ threads every server's root values are cut into
+  /// weight-balanced morsels (8 per thread over all servers) that any
+  /// thread may take, heaviest first; HCubeJ+Cache servers stay whole.
+  /// 1 runs each server whole and inline, in server order. A server's
+  /// time is the thread CPU time of its morsels summed, so comp_s does
+  /// not depend on this setting, and its limits keep their per-server
+  /// meaning.
   int worker_threads = 0;
 };
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <functional>
+#include <unordered_map>
 
 #include "common/rng.h"
 #include "common/timer.h"
@@ -111,49 +112,74 @@ StatusOr<SampleEstimate> SampleCardinality(const query::Query& q,
     return est;
   }
 
-  // Draw k values with replacement, then run the pinned Leapfrogs on
-  // the workers. Each worker reuses one bound Leapfrog for every sample
-  // index it claims from a shared counter. The time budget is checked
-  // before each claimed sample: an exhausted budget truncates the pass
-  // and the mean is taken over the samples actually run — sample 0
-  // always runs, so a truncated estimate is still an estimate, never a
-  // division by zero.
+  // Draw k values with replacement, then run each distinct value's
+  // pinned Leapfrog once on the workers, weighting its count and
+  // per-level stats by how often it was drawn: the sums are exactly
+  // those of k runs, without repeating any. Each worker reuses one
+  // bound Leapfrog for every value it claims from a shared counter,
+  // in first-drawn order. The time budget is checked before each
+  // claimed value: an exhausted budget truncates the pass and the mean
+  // is taken over the draws of the values actually run — the first
+  // value always runs, so a truncated estimate is still an estimate,
+  // never a division by zero.
   Rng rng(options.seed);
   const uint64_t k = std::max<uint64_t>(1, options.num_samples);
-  std::vector<Value> values(k);
-  for (Value& v : values) v = val_a[rng.Uniform(val_a.size())];
-  const int threads = dist::FanOutThreads(k);
+  std::vector<Value> values;    // distinct, in first-drawn order
+  std::vector<uint64_t> draws;  // per distinct value
+  {
+    std::unordered_map<Value, size_t> slot;
+    for (uint64_t i = 0; i < k; ++i) {
+      const Value v = val_a[rng.Uniform(val_a.size())];
+      const auto [it, fresh] = slot.emplace(v, values.size());
+      if (fresh) {
+        values.push_back(v);
+        draws.push_back(0);
+      }
+      ++draws[it->second];
+    }
+  }
+  const uint64_t n = values.size();
+  const int threads = dist::FanOutThreads(n);
   // Every worker's Leapfrog and stats are set up here, on the calling
-  // thread: the workers' runs then allocate nothing, so their threads
-  // never grow heaps of their own, and a bind error surfaces before any
-  // run.
+  // thread: the workers' runs then allocate nothing, and a bind error
+  // surfaces before any run.
   std::vector<wcoj::Leapfrog> leapfrogs;
   std::vector<wcoj::JoinStats> worker_stats(static_cast<size_t>(threads));
-  for (wcoj::JoinStats& s : worker_stats) {
+  std::vector<wcoj::JoinStats> run_stats(static_cast<size_t>(threads));
+  for (size_t w = 0; w < worker_stats.size(); ++w) {
     StatusOr<wcoj::Leapfrog> leapfrog =
         wcoj::Leapfrog::Bind(inputs, order, options.per_sample_limits);
     if (!leapfrog.ok()) return leapfrog.status();
     leapfrogs.push_back(std::move(*leapfrog));
-    s.tuples_at_level.assign(order.size(), 0);
+    worker_stats[w].tuples_at_level.assign(order.size(), 0);
+    run_stats[w].tuples_at_level.assign(order.size(), 0);
   }
-  std::vector<uint64_t> counts(k, 0);
-  std::vector<uint8_t> ran(k, 0);
+  std::vector<uint64_t> counts(n, 0);
+  std::vector<uint8_t> ran(n, 0);
   std::vector<double> cpu_seconds(static_cast<size_t>(threads), 0.0);
   std::atomic<uint64_t> next{0};
   std::vector<std::function<void()>> tasks;
   for (int w = 0; w < threads; ++w) {
     tasks.push_back([&, w] {
       const ThreadCpuTimer cpu;
-      for (uint64_t i = next.fetch_add(1); i < k; i = next.fetch_add(1)) {
+      wcoj::JoinStats& run = run_stats[size_t(w)];
+      wcoj::JoinStats& acc = worker_stats[size_t(w)];
+      for (uint64_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
         if (i > 0 && timer.Seconds() >= options.max_total_seconds) break;
         ran[i] = 1;
-        StatusOr<uint64_t> count = leapfrogs[size_t(w)].Run(
-            /*emit=*/nullptr, &worker_stats[size_t(w)], values[i]);
+        std::fill(run.tuples_at_level.begin(), run.tuples_at_level.end(), 0);
+        run.extensions = 0;
+        StatusOr<uint64_t> count =
+            leapfrogs[size_t(w)].Run(/*emit=*/nullptr, &run, values[i]);
         // A capped sample counts as drawn with a zero count (its
         // partial work still lands in the per-level stats) — a
         // documented bias source; with default (unlimited) limits this
         // never fires.
         if (count.ok()) counts[i] = *count;
+        for (size_t l = 0; l < run.tuples_at_level.size(); ++l) {
+          acc.tuples_at_level[l] += draws[i] * run.tuples_at_level[l];
+        }
+        acc.extensions += run.extensions;  // run, not weighted: for beta
       }
       cpu_seconds[size_t(w)] = cpu.Seconds();
     });
@@ -161,16 +187,16 @@ StatusOr<SampleEstimate> SampleCardinality(const query::Query& q,
   dist::RunTasks(threads, tasks);
 
   // Integer sums in index and worker order: the same totals whichever
-  // worker ran which sample.
+  // worker ran which value.
   wcoj::JoinStats stats;
   for (const wcoj::JoinStats& s : worker_stats) stats.Merge(s);
   uint64_t sum = 0, drawn = 0;
   std::vector<Value> sampled;
-  sampled.reserve(k);
-  for (uint64_t i = 0; i < k; ++i) {
+  sampled.reserve(n);
+  for (uint64_t i = 0; i < n; ++i) {
     if (ran[i] == 0) continue;
-    sum += counts[i];
-    ++drawn;
+    sum += draws[i] * counts[i];
+    drawn += draws[i];
     sampled.push_back(values[i]);
   }
   est.samples = drawn;
@@ -197,8 +223,6 @@ StatusOr<SampleEstimate> SampleCardinality(const query::Query& q,
     // A-projections, intersect, semijoin-filter with the sampled
     // values, then shuffle only the reduced relations.
     std::sort(sampled.begin(), sampled.end());
-    sampled.erase(std::unique(sampled.begin(), sampled.end()),
-                  sampled.end());
     uint64_t copies = 0, bytes = 0;
     for (const wcoj::SharedPreparedRelation& p : prepared) {
       if (!p.attrs.empty() && p.attrs[0] == attr_a) {

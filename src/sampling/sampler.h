@@ -65,11 +65,14 @@ struct SampleEstimate {
 /// relation containing A, draw k values uniformly, run Leapfrog with A
 /// pinned to each value, and scale the mean count by |val(A)|.
 ///
-/// The k values are drawn up front from options.seed, and the pinned
-/// runs are spread over SamplingThreads() workers. Counts are summed as
-/// integers, so an untruncated pass returns the same estimate for any
-/// worker count; only the timings and a budget-truncated sample set can
-/// differ.
+/// The k values are drawn up front from options.seed, with
+/// replacement. Each distinct value is run once and its count and
+/// per-level stats are weighted by how often it was drawn, so the
+/// estimate is exactly that of k runs. The pinned runs are spread over
+/// SamplingThreads() workers, on dist::RunTasks' shared pool. Counts
+/// are summed as integers, so an untruncated pass returns the same
+/// estimate for any worker count; only the timings and a
+/// budget-truncated sample set can differ.
 StatusOr<SampleEstimate> SampleCardinality(const query::Query& q,
                                            const storage::Catalog& db,
                                            const query::AttributeOrder& order,

@@ -62,7 +62,9 @@ class Leapfrog::Executor {
   Executor(const std::vector<JoinInput>& inputs,
            const query::AttributeOrder& order, const JoinLimits& limits,
            IntersectionCache* cache)
-      : inputs_(inputs), order_(order), limits_(limits), cache_(cache) {}
+      : inputs_(inputs), order_(order), bound_limits_(limits), cache_(cache) {}
+
+  const JoinLimits& bound_limits() const { return bound_limits_; }
 
   /// Resolves each order position's participants, validates the inputs
   /// against the order, and carves the arena every Run reuses.
@@ -106,10 +108,13 @@ class Leapfrog::Executor {
   }
 
   StatusOr<uint64_t> Run(const EmitFn* emit, JoinStats* stats,
-                         std::optional<Value> first_value) {
+                         std::optional<Value> first_value,
+                         const RootRange& range, const JoinLimits& limits) {
     emit_ = emit;
     stats_ = stats;
     first_value_ = first_value;
+    range_ = range;
+    limits_ = limits;
     std::fill(tuples_local_.begin(), tuples_local_.end(), 0);
     kernel_stats_ = {};
     cache_hits_ = cache_misses_ = count_ = extensions_ = 0;
@@ -276,6 +281,17 @@ class Leapfrog::Executor {
     return trie.ChildRange(p.level - 1, indexes_[p.input][p.level - 1]);
   }
 
+  /// Root range r of a participant at position 0, narrowed to the
+  /// run's root values [range_.lo, range_.hi).
+  Trie::Range NarrowRoot(const Trie& trie, Trie::Range r) const {
+    constexpr uint64_t kAll = RootRange{}.hi;
+    if (range_.lo > 0) r.lo = trie.SeekInRange(0, r, Value(range_.lo));
+    if (range_.hi < kAll && r.lo < r.hi) {
+      r.hi = trie.SeekInRange(0, r, Value(range_.hi));
+    }
+    return r;
+  }
+
   Status CheckLimits() {
     if (extensions_ > limits_.max_extensions) {
       return Status::ResourceExhausted("join exceeded extension budget");
@@ -299,7 +315,7 @@ class Leapfrog::Executor {
     for (int j = 0; j < k; ++j) {
       const Participant& p = parts[j];
       const Trie& trie = *inputs_[p.input].trie;
-      const Trie::Range r = RangeOf(p);
+      const Trie::Range r = i == 0 ? NarrowRoot(trie, RangeOf(p)) : RangeOf(p);
       if (r.empty()) return Status::OK();
       slot.ranges[j] = r;
       if (!slot.has_comp) {
@@ -500,12 +516,14 @@ class Leapfrog::Executor {
 
   const std::vector<JoinInput>& inputs_;
   const query::AttributeOrder& order_;
-  const JoinLimits limits_;
+  const JoinLimits bound_limits_;
   IntersectionCache* cache_;
   // Per-run arguments.
   const EmitFn* emit_ = nullptr;
   JoinStats* stats_ = nullptr;
   std::optional<Value> first_value_;
+  RootRange range_;
+  JoinLimits limits_;
 
   std::vector<std::vector<Participant>> participants_;  // per order pos
   std::vector<std::vector<uint32_t>> indexes_;  // per input per level
@@ -550,7 +568,15 @@ StatusOr<Leapfrog> Leapfrog::Bind(const std::vector<JoinInput>& inputs,
 StatusOr<uint64_t> Leapfrog::Run(const EmitFn* emit, JoinStats* stats,
                                  std::optional<Value> first_value) {
   if (exec_ == nullptr) return Status::InvalidArgument("unbound Leapfrog");
-  return exec_->Run(emit, stats, first_value);
+  return exec_->Run(emit, stats, first_value, RootRange{},
+                    exec_->bound_limits());
+}
+
+StatusOr<uint64_t> Leapfrog::Run(const EmitFn* emit, JoinStats* stats,
+                                 const RootRange& range,
+                                 const JoinLimits& limits) {
+  if (exec_ == nullptr) return Status::InvalidArgument("unbound Leapfrog");
+  return exec_->Run(emit, stats, std::nullopt, range, limits);
 }
 
 StatusOr<uint64_t> LeapfrogJoin(const std::vector<JoinInput>& inputs,

@@ -60,6 +60,14 @@ struct JoinLimits {
   uint64_t max_materialized_rows = std::numeric_limits<uint64_t>::max();
 };
 
+/// The root values (order[0]) one run covers: [lo, hi). The bounds
+/// are 64-bit so a range can reach past the largest Value; the default
+/// covers every value.
+struct RootRange {
+  uint64_t lo = 0;
+  uint64_t hi = uint64_t{std::numeric_limits<Value>::max()} + 1;
+};
+
 /// Optional memoization of per-level intersections — the CacheTrieJoin
 /// mechanism behind the HCubeJ+Cache baseline. Entries are keyed by
 /// the exact set of sibling ranges being intersected; capacity is a
@@ -129,6 +137,14 @@ class Leapfrog {
   /// DeadlineExceeded when a limit trips.
   StatusOr<uint64_t> Run(const EmitFn* emit, JoinStats* stats,
                          std::optional<Value> first_value = {});
+
+  /// One join restricted to root values in `range`, under `limits`
+  /// instead of the bound ones. Each root participant's span is
+  /// narrowed by binary search before the root intersection, so runs
+  /// over disjoint ranges split one join's work (and its output, in
+  /// order) without repeating any of it — the morsels of one server.
+  StatusOr<uint64_t> Run(const EmitFn* emit, JoinStats* stats,
+                         const RootRange& range, const JoinLimits& limits);
 
  private:
   class Executor;

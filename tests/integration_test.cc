@@ -184,8 +184,8 @@ TEST(EngineTest, PlanIndependentOfSamplingThreads) {
     Engine engine(&db);
     auto parallel = engine.Plan(*q, FastOptions());
     StatusOr<PlanResult> serial = Status::Internal("not run");
-    dist::ThreadPool pool(1);
-    pool.RunAll({[&] { serial = engine.Plan(*q, FastOptions()); }});
+    dist::ThreadPool pool(1);  // a batch task plans serially
+    pool.ForkJoin({[&] { serial = engine.Plan(*q, FastOptions()); }});
     ASSERT_TRUE(parallel.ok()) << parallel.status();
     ASSERT_TRUE(serial.ok()) << serial.status();
     EXPECT_GT(parallel->beta_raw, 0.0);
@@ -239,6 +239,16 @@ TEST(EngineTest, SingleAtomEstimateIsDistinctTupleCount) {
                                      << planned->explanation;
     ++at;
   }
+
+  // The cost model prices the atoms at 110 distinct tuples, not 165
+  // rows: the plan's modeled shuffle is the deduplicated relation's.
+  storage::Catalog deduped;
+  ASSERT_TRUE(deduped.Apply(storage::WriteBatch().Create("G", distinct)).ok());
+  Engine deduped_engine(&deduped);
+  auto deduped_plan = deduped_engine.Plan(*q, FastOptions());
+  ASSERT_TRUE(deduped_plan.ok()) << deduped_plan.status();
+  EXPECT_GT(planned->plan.est_comm_s, 0.0);
+  EXPECT_EQ(planned->plan.est_comm_s, deduped_plan->plan.est_comm_s);
 }
 
 TEST(EngineTest, BuiltinDatasetSmokeRun) {

@@ -188,10 +188,11 @@ TEST(SamplerTest, BetaMeasured) {
   EXPECT_GT(est->beta_extensions_per_s, 0.0);
 }
 
-/// Runs `fn` on a dist::ThreadPool worker, where sampling is serial.
+/// Runs `fn` as the task of a dist::ThreadPool batch, where sampling
+/// is serial.
 void OnPoolWorker(const std::function<void()>& fn) {
   dist::ThreadPool pool(1);
-  pool.RunAll({fn});
+  pool.ForkJoin({fn});
 }
 
 /// The k pinned runs spread over the host's cores give the serial
@@ -226,18 +227,64 @@ TEST(ParallelSamplerTest, EstimateIndependentOfThreadCount) {
   EXPECT_GT(serial->beta_extensions_per_s, 0.0);
 }
 
+/// Each distinct drawn value runs once, weighted by its draws: the
+/// estimate is bit-identical to running all k draws. The expected
+/// numbers were recorded from a sampler that ran every draw (k = 1000
+/// draws over 296 values, so most values repeat).
+TEST(ParallelSamplerTest, DistinctDrawsMatchKRunGolden) {
+  Rng rng(41);
+  storage::Catalog db;
+  ASSERT_TRUE(db.Apply(
+      WriteBatch().Create("G", dataset::ZipfGraph(300, 4000, 0.8, rng))).ok());
+  auto q = Query::Parse("G(a,b) G(b,c) G(c,d) G(a,c)");
+  SamplerOptions opts;
+  opts.num_samples = 1000;
+  opts.seed = 9;
+  const std::vector<double> golden_levels = {
+      296, 3467.9360000000001, 16872.887999999999, 839607.25600000005};
+  auto check = [&](const StatusOr<SampleEstimate>& est) {
+    ASSERT_TRUE(est.ok()) << est.status();
+    EXPECT_EQ(est->val_a_size, 296u);
+    EXPECT_EQ(est->samples, 1000u);
+    EXPECT_EQ(est->cardinality, 839607.25599999994);
+    EXPECT_EQ(est->est_tuples_at_level, golden_levels);
+    EXPECT_EQ(est->comm.bytes, 103776u);
+    EXPECT_EQ(est->comm.tuple_copies, 13268u);
+    EXPECT_EQ(est->comm.blocks, 16u);
+  };
+  check(SampleCardinality(*q, db, {0, 1, 2, 3}, opts));
+  StatusOr<SampleEstimate> serial = Status::Internal("not run");
+  OnPoolWorker([&] {
+    serial = SampleCardinality(*q, db, {0, 1, 2, 3}, opts);
+  });
+  check(serial);
+}
+
+/// An exhausted budget still runs the first drawn value, and the
+/// truncated mean is taken over all of that value's draws.
 TEST(ParallelSamplerTest, ExhaustedBudgetStillRunsOneSample) {
   Rng rng(43);
   storage::Catalog db;
-  ASSERT_TRUE(db.Apply(
-      WriteBatch().Create("G", dataset::ErdosRenyi(100, 800, rng))).ok());
+  storage::Relation g = dataset::ErdosRenyi(100, 800, rng);
+  ASSERT_TRUE(db.Apply(WriteBatch().Create("G", g)).ok());
   auto q = Query::Parse("G(a,b) G(b,c) G(a,c)");
   SamplerOptions opts;
   opts.num_samples = 500;
   opts.max_total_seconds = 0.0;
   auto est = SampleCardinality(*q, db, {0, 1, 2}, opts);
   ASSERT_TRUE(est.ok());
-  EXPECT_EQ(est->samples, 1u);
+  // val(a) is G's distinct first column; replay the sampler's draws.
+  std::vector<Value> val_a;
+  for (uint64_t r = 0; r < g.size(); ++r) val_a.push_back(g.At(r, 0));
+  std::sort(val_a.begin(), val_a.end());
+  val_a.erase(std::unique(val_a.begin(), val_a.end()), val_a.end());
+  Rng draws(opts.seed);
+  std::vector<Value> drawn(opts.num_samples);
+  for (Value& v : drawn) v = val_a[draws.Uniform(val_a.size())];
+  const uint64_t first_draws =
+      uint64_t(std::count(drawn.begin(), drawn.end(), drawn[0]));
+  ASSERT_GT(first_draws, 1u);
+  EXPECT_EQ(est->samples, first_draws);
   EXPECT_TRUE(std::isfinite(est->cardinality));
 }
 

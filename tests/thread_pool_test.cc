@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <numeric>
 #include <thread>
@@ -14,6 +15,8 @@
 #include "dataset/generators.h"
 #include "dist/thread_pool.h"
 #include "exec/hcubej.h"
+#include "exec/precompute.h"
+#include "ghd/decomposition.h"
 #include "query/queries.h"
 #include "wcoj/naive_join.h"
 
@@ -27,7 +30,7 @@ TEST(ThreadPoolTest, RunsEveryTaskExactlyOnce) {
     tasks.push_back([&hits, i] { hits[size_t(i)]++; });
   }
   ThreadPool pool(4);
-  pool.RunAll(tasks);
+  pool.ForkJoin(tasks);
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
@@ -37,14 +40,14 @@ TEST(ThreadPoolTest, ReusableAcrossBatches) {
   for (int batch = 0; batch < 5; ++batch) {
     std::vector<std::function<void()>> tasks;
     for (int i = 0; i < 10; ++i) tasks.push_back([&total] { total++; });
-    pool.RunAll(tasks);
+    pool.ForkJoin(tasks);
   }
   EXPECT_EQ(total.load(), 50);
 }
 
 TEST(ThreadPoolTest, EmptyBatchIsNoop) {
   ThreadPool pool(2);
-  pool.RunAll({});
+  pool.ForkJoin({});
   SUCCEED();
 }
 
@@ -83,7 +86,7 @@ TEST(ThreadPoolTest, StreamingAndBatchModesInterleave) {
   std::vector<std::function<void()>> tasks;
   std::atomic<int> batched{0};
   for (int i = 0; i < 16; ++i) tasks.push_back([&batched] { batched++; });
-  pool.RunAll(tasks);  // a batch while submitted tasks drain
+  pool.ForkJoin(tasks);  // a batch while submitted tasks drain
   pool.WaitIdle();
   EXPECT_EQ(streamed.load(), 16);
   EXPECT_EQ(batched.load(), 16);
@@ -115,6 +118,72 @@ TEST(RunTasksTest, ParallelSumsMatch) {
     const uint64_t n = i * 1000;
     EXPECT_EQ(slots[i], n * (n + 1) / 2);
   }
+}
+
+TEST(RunTasksTest, OneThreadRunsInlineInOrder) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> order;
+  bool all_inline = true;
+  std::vector<std::function<void()>> tasks;
+  for (int i = 0; i < 8; ++i) {
+    tasks.push_back([&, i] {
+      all_inline &= std::this_thread::get_id() == caller;
+      order.push_back(i);
+    });
+  }
+  RunTasks(1, tasks);
+  EXPECT_TRUE(all_inline);
+  EXPECT_EQ(order, std::vector<int>({0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
+TEST(RunTasksTest, NestedBatchCompletes) {
+  // Every outer task posts its own batch on the same pool; the callers
+  // help, so none waits on a worker that waits on it.
+  std::atomic<int> inner{0};
+  std::vector<std::function<void()>> outer;
+  for (int i = 0; i < 4; ++i) {
+    outer.push_back([&inner] {
+      std::vector<std::function<void()>> tasks;
+      for (int j = 0; j < 4; ++j) tasks.push_back([&inner] { inner++; });
+      RunTasks(4, tasks);
+    });
+  }
+  RunTasks(4, outer);
+  EXPECT_EQ(inner.load(), 16);
+}
+
+TEST(RunTasksTest, ConcurrentCallersShareThePool) {
+  std::vector<std::atomic<int>> hits(4 * 64);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < 4; ++c) {
+    callers.emplace_back([&hits, c] {
+      for (int round = 0; round < 20; ++round) {
+        std::vector<std::function<void()>> tasks;
+        for (int i = 0; i < 64; ++i) {
+          tasks.push_back([&hits, c, i] { hits[size_t(c * 64 + i)]++; });
+        }
+        RunTasks(4, tasks);
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 20);
+}
+
+TEST(ThreadPoolTest, ForkJoinCapsConcurrency) {
+  ThreadPool pool(4);
+  std::atomic<int> running{0}, peak{0};
+  std::vector<std::function<void()>> tasks(32, [&] {
+    const int now = ++running;
+    int seen = peak.load();
+    while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    --running;
+  });
+  pool.ForkJoin(tasks, 2);
+  EXPECT_GE(peak.load(), 1);
+  EXPECT_LE(peak.load(), 2);
 }
 
 TEST(ThreadedHCubeJTest, SameCountsAsSequential) {
@@ -195,7 +264,7 @@ query::AttributeOrder Ascending(const query::Query& q) {
   return order;
 }
 
-/// Runs `fn` on a pool worker, where the fan-out rule picks 1 thread.
+/// Runs `fn` as a batch task, where the fan-out rule picks 1 thread.
 void OnPoolWorker(const std::function<void()>& fn) {
   RunTasks(2, {fn, [] {}});
 }
@@ -410,6 +479,109 @@ TEST(ThreadedHCubeJTest, PrecomputedBagMatchesSerial) {
   OnPoolWorker([&] { serial_run = engine.RunPrepared(*serial, options); });
   ASSERT_TRUE(threaded_run.ok() && serial_run.ok());
   ExpectSameJoin(*serial_run, *threaded_run, oracle);
+}
+
+// The morsels of a split server join exactly what the whole server
+// joins: on a skewed RMAT graph, where single root values are heavy,
+// the counts, per-level bindings, extensions and the collected rows, in
+// order, match one thread running each server whole.
+TEST(MorselHCubeJTest, SkewedGraphMatchesWholeServers) {
+  Rng rng(89);
+  storage::Catalog db;
+  ASSERT_TRUE(db.Apply(storage::WriteBatch().Create(
+      "G", dataset::Rmat({.scale = 8}, 1500, rng))).ok());
+  for (const int servers : {1, 4}) {
+    for (const int qi : {1, 5}) {
+      const query::Query q = *query::MakeBenchmarkQuery(qi);
+      ClusterConfig cfg;
+      cfg.num_servers = servers;
+      Cluster c_whole(cfg), c_split(cfg);
+      exec::HCubeJParams whole;
+      whole.worker_threads = 1;
+      whole.collect_output = true;
+      exec::HCubeJParams split = whole;
+      split.worker_threads = 4;
+      auto a = exec::RunHCubeJ(q, db, Ascending(q), whole, &c_whole);
+      auto b = exec::RunHCubeJ(q, db, Ascending(q), split, &c_split);
+      ASSERT_TRUE(a.ok() && b.ok());
+      ASSERT_TRUE(a->report.ok() && b->report.ok());
+      SCOPED_TRACE("Q" + std::to_string(qi) + " at " +
+                   std::to_string(servers) + " servers");
+      EXPECT_GT(a->report.output_count, 0u);
+      EXPECT_EQ(b->report.output_count, a->report.output_count);
+      EXPECT_EQ(b->report.tuples_at_level, a->report.tuples_at_level);
+      EXPECT_EQ(b->report.extensions, a->report.extensions);
+      EXPECT_TRUE(std::ranges::equal(a->results.raw(), b->results.raw()));
+    }
+  }
+  // Bag pre-computation gathers through the same collect path.
+  const query::Query q = *query::MakeBenchmarkQuery(5);
+  ghd::Bag bag;
+  bag.atoms = (AtomMask(1) << q.num_atoms()) - 1;
+  for (int a = 0; a < q.num_attrs(); ++a) bag.attrs |= AttrMask(1) << a;
+  ClusterConfig cfg;
+  cfg.num_servers = 4;
+  Cluster c_split(cfg), c_whole(cfg);
+  auto split = exec::MaterializeBag(q, db, bag, &c_split, {});
+  StatusOr<exec::PrecomputeResult> whole = Status::Internal("not run");
+  OnPoolWorker([&] {
+    whole = exec::MaterializeBag(q, db, bag, &c_whole, {});
+  });
+  ASSERT_TRUE(split.ok() && whole.ok());
+  EXPECT_GT(whole->rel.size(), 0u);
+  EXPECT_TRUE(std::ranges::equal(split->rel.raw(), whole->rel.raw()));
+}
+
+// max_extensions keeps its per-server meaning when a server is split:
+// a budget just below the busiest server's extensions fails the run
+// however its morsels divide that budget, and one at it passes.
+TEST(MorselHCubeJTest, ExtensionBudgetHoldsPerServer) {
+  Rng rng(91);
+  storage::Catalog db;
+  ASSERT_TRUE(db.Apply(storage::WriteBatch().Create(
+      "G", dataset::Rmat({.scale = 9}, 6000, rng))).ok());
+  const query::Query q = *query::MakeBenchmarkQuery(1);
+  for (const int servers : {1, 4}) {
+    // The busiest server's extensions, from whole-server runs: its
+    // total is the run's total minus every other server's.
+    ClusterConfig cfg;
+    cfg.num_servers = servers;
+    uint64_t busiest = 0;
+    {
+      Cluster cluster(cfg);
+      exec::HCubeJParams params;
+      params.worker_threads = 1;
+      auto run = exec::RunHCubeJ(q, db, Ascending(q), params, &cluster);
+      ASSERT_TRUE(run.ok() && run->report.ok());
+      for (int s = 0; s < servers; ++s) {
+        std::vector<wcoj::JoinInput> inputs;
+        for (size_t a = 0; a < cluster.shard(s).tries.size(); ++a) {
+          inputs.push_back({cluster.shard(s).tries[a].get(),
+                            cluster.shard(s).attrs[a]});
+        }
+        wcoj::JoinStats stats;
+        ASSERT_TRUE(
+            wcoj::LeapfrogJoin(inputs, Ascending(q), nullptr, &stats).ok());
+        busiest = std::max(busiest, stats.extensions);
+      }
+    }
+    ASSERT_GT(busiest, 1000u);
+    for (const uint64_t budget : {busiest - 1, busiest}) {
+      Cluster cluster(cfg);
+      exec::HCubeJParams params;
+      params.worker_threads = 4;
+      params.limits.max_extensions = budget;
+      auto run = exec::RunHCubeJ(q, db, Ascending(q), params, &cluster);
+      ASSERT_TRUE(run.ok());
+      if (budget < busiest) {
+        EXPECT_EQ(run->report.status.code(), StatusCode::kResourceExhausted)
+            << servers << " servers: " << run->report.status;
+      } else {
+        EXPECT_TRUE(run->report.ok())
+            << servers << " servers: " << run->report.status;
+      }
+    }
+  }
 }
 
 }  // namespace
