@@ -2,7 +2,7 @@
 // build, trie seek, k-way leapfrog intersection, sequential Leapfrog,
 // and the HCube shuffle. These are the constants (alpha, beta) the
 // cost model of Sec. III-B is calibrated from. BM_ForkJoin times the
-// shared pool's fixed cost per fan-out.
+// shared pool's fixed cost per fan-out; BM_PlanCold times the planner.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -11,6 +11,7 @@
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "core/engine.h"
 #include "dataset/generators.h"
 #include "dist/cluster.h"
 #include "storage/catalog.h"
@@ -144,6 +145,32 @@ void BM_ForkJoin(benchmark::State& state) {
   benchmark::DoNotOptimize(ran.load());
 }
 BENCHMARK(BM_ForkJoin)->UseRealTime();
+
+/// One cold Engine::Plan — GHD search, main sampling pass, sub-query
+/// sampling and the plan search, no plan cache — of Q3 (arg 3) or Q5
+/// (arg 5) on an RMAT graph the size of the end-to-end benchmark's
+/// query mix (2^13 nodes, 12,600 edge draws). The catalog's indexes
+/// are warm after the first iteration, as they are for a planner that
+/// serves a stream of ad-hoc queries.
+void BM_PlanCold(benchmark::State& state) {
+  dataset::RmatParams params;
+  params.scale = 13;
+  Rng rng(0x5EED0000ULL + 13);
+  storage::Catalog db;
+  const Status s = db.Apply(storage::WriteBatch().Create(
+      "G", dataset::Rmat(params, 12'600, rng)));
+  ADJ_CHECK(s.ok()) << s.ToString();
+  auto q = query::MakeBenchmarkQuery(int(state.range(0)));
+  ADJ_CHECK(q.ok()) << q.status().ToString();
+  core::Engine engine(&db);
+  const core::EngineOptions options;
+  for (auto _ : state) {
+    StatusOr<core::PlanResult> planned = engine.Plan(*q, options);
+    ADJ_CHECK(planned.ok()) << planned.status().ToString();
+    benchmark::DoNotOptimize(planned->plan.est_comp_s);
+  }
+}
+BENCHMARK(BM_PlanCold)->Arg(3)->Arg(5)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace adj

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <set>
+#include <span>
 
 #include "common/timer.h"
 #include "core/strategy_registry.h"
@@ -19,18 +20,18 @@ namespace {
 
 /// Exact |val(A)|: intersection of the A-projections over the atoms
 /// containing A (cheap; one sorted-set intersection per atom, each
-/// column sorted once per planning run through `columns`).
+/// column's distinct values cached per relation version).
 StatusOr<uint64_t> ValDistinct(const query::Query& q,
-                               const storage::Catalog& db,
-                               sampling::DistinctColumns& columns, AttrId a) {
+                               const storage::Catalog& db, AttrId a) {
   std::vector<Value> acc;
   bool first = true;
   for (const query::Atom& atom : q.atoms()) {
     const int pos = atom.schema.PositionOf(a);
     if (pos < 0) continue;
-    StatusOr<const storage::Relation*> base = db.Get(atom.relation);
-    if (!base.ok()) return base.status();
-    const std::vector<Value>& vals = columns.Get(**base, pos);
+    StatusOr<std::shared_ptr<const std::vector<Value>>> column =
+        sampling::DistinctColumn(db, atom.relation, pos);
+    if (!column.ok()) return column.status();
+    const std::vector<Value>& vals = **column;
     if (first) {
       acc = vals;
       first = false;
@@ -82,32 +83,39 @@ class EstimationContext {
   /// issuing work once it passes `budget_seconds` on that clock (the
   /// plan search itself is cheap — sampling is where planning time
   /// goes, so bounding the estimate callbacks bounds the search).
-  /// `sketch` orders each sub-query's sampling pass; `columns` is the
-  /// run's distinct-column table.
+  /// `sketch` orders each sub-query's sampling pass.
   EstimationContext(const query::Query& q, const storage::Catalog& db,
                     const EngineOptions& options, const WallTimer& timer,
                     double budget_seconds,
-                    const sampling::SketchEstimator& sketch,
-                    sampling::DistinctColumns& columns)
+                    const sampling::SketchEstimator& sketch)
       : q_(q),
         db_(db),
         options_(options),
         timer_(timer),
         budget_seconds_(budget_seconds),
-        sketch_(sketch),
-        columns_(columns) {}
+        sketch_(sketch) {}
 
-  /// Estimated size of the join of the atoms in `mask` (1.0 if empty).
-  double JoinSize(AtomMask mask) {
-    if (mask == 0) return 1.0;
+  /// Estimated size of the join of the atoms in `mask` (1.0 if empty),
+  /// needed only up to `cap` (see optimizer::Estimate). A bounded
+  /// estimate answers every later request whose cap it reaches; a
+  /// request above it samples the mask again. Each mask's pass has its
+  /// own seed, so no estimate depends on which requests came before.
+  /// A request the cache cannot answer with a cap of 0 or less gets
+  /// {0, bounded} and samples nothing.
+  optimizer::Estimate JoinSize(AtomMask mask, double cap) {
+    if (mask == 0) return {1.0, false};
     auto it = cache_.find(mask);
-    if (it != cache_.end()) return it->second;
-    double size;
+    if (it != cache_.end() &&
+        (!it->second.bounded || it->second.value >= cap)) {
+      return it->second;
+    }
+    if (cap <= 0) return {0.0, true};
+    optimizer::Estimate size;
     if (options_.use_exact_estimates) {
       StatusOr<storage::Relation> exact = wcoj::NaiveJoin(
           SubQuery(q_, mask), db_, options_.limits.max_extensions);
-      size = exact.ok() ? double(exact->size())
-                        : std::numeric_limits<double>::infinity();
+      size.value = exact.ok() ? double(exact->size())
+                              : std::numeric_limits<double>::infinity();
     } else {
       const double remaining = budget_seconds_ - timer_.Seconds();
       if (remaining <= 0) {
@@ -115,7 +123,7 @@ class EstimationContext {
         // conservative "unknown, assume huge" the search already
         // handles for failed estimates; Plan's final checkpoint will
         // turn the exhausted budget into DeadlineExceeded regardless.
-        size = std::numeric_limits<double>::infinity();
+        size.value = std::numeric_limits<double>::infinity();
         cache_[mask] = size;
         return size;
       }
@@ -129,13 +137,17 @@ class EstimationContext {
       sopts.distributed = false;  // the one-time reduction is accounted
                                   // by the main sampling pass
       sopts.max_total_seconds = remaining;
+      sopts.stop_at_cardinality = cap;
       // A connected order: each attribute after the first extends a
       // sub-query atom, so no sample enumerates a cross product.
       StatusOr<sampling::SampleEstimate> est = sampling::SampleCardinality(
           sub, db_, sketch_.ConnectedOrder(mask), sopts,
           options_.cluster.net, options_.cluster.num_servers);
-      size = est.ok() ? est->cardinality
-                      : std::numeric_limits<double>::infinity();
+      if (est.ok()) {
+        size = {est->cardinality, est->bounded};
+      } else {
+        size.value = std::numeric_limits<double>::infinity();
+      }
       sampling_seconds_ += est.ok() ? est->seconds : 0.0;
     }
     cache_[mask] = size;
@@ -145,13 +157,13 @@ class EstimationContext {
   double Distinct(AttrId a) {
     auto it = distinct_.find(a);
     if (it != distinct_.end()) return it->second;
-    StatusOr<uint64_t> v = ValDistinct(q_, db_, columns_, a);
+    StatusOr<uint64_t> v = ValDistinct(q_, db_, a);
     const double d = v.ok() ? double(*v) : 1.0;
     distinct_[a] = d;
     return d;
   }
 
-  void Seed(AtomMask mask, double size) { cache_[mask] = size; }
+  void Seed(AtomMask mask, double size) { cache_[mask] = {size, false}; }
 
   double sampling_seconds() const { return sampling_seconds_; }
 
@@ -162,8 +174,7 @@ class EstimationContext {
   const WallTimer& timer_;
   double budget_seconds_;
   const sampling::SketchEstimator& sketch_;
-  sampling::DistinctColumns& columns_;
-  std::map<AtomMask, double> cache_;
+  std::map<AtomMask, optimizer::Estimate> cache_;
   std::map<AttrId, double> distinct_;
   double sampling_seconds_ = 0.0;
 };
@@ -257,13 +268,16 @@ StatusOr<PlanResult> Engine::Plan(const query::Query& q,
   }
   ADJ_RETURN_IF_ERROR(CheckBudget("cardinality sampling"));
 
-  // One distinct-column table serves the sketch and val(A) for this
-  // run only: each (relation, column) is sorted once per plan.
-  sampling::DistinctColumns columns;
+  // Tuples per atom, for the sketch and the cost model alike: the
+  // distinct counts of the indexes the main pass bound when it ran,
+  // else the base sizes (which count duplicate rows).
   StatusOr<sampling::SketchEstimator> sketch =
-      sampling::SketchEstimator::Build(q, *db_, columns);
+      sampling::SketchEstimator::Build(
+          q, *db_,
+          full_est.ok() ? std::span<const uint64_t>(full_est->atom_tuples)
+                        : std::span<const uint64_t>());
   if (!sketch.ok()) return sketch.status();
-  EstimationContext ctx(q, *db_, options, timer, budget, *sketch, columns);
+  EstimationContext ctx(q, *db_, options, timer, budget, *sketch);
   if (full_est.ok()) {
     // The full-query cardinality is already estimated; seed the
     // sub-query cache so Alg. 2 does not re-sample it. A single atom's
@@ -295,22 +309,14 @@ StatusOr<PlanResult> Engine::Plan(const query::Query& q,
     in.cost_model.beta_raw =
         std::min(result.beta_raw, in.cost_model.beta_precomputed);
   }
-  // Distinct tuples per atom: the bound indexes' counts when the main
-  // pass ran, else the base sizes (which count duplicate rows).
-  if (full_est.ok()) {
-    in.atom_tuples = full_est->atom_tuples;
-  } else {
-    for (const query::Atom& atom : q.atoms()) {
-      StatusOr<const storage::Relation*> base = db_->Get(atom.relation);
-      if (!base.ok()) return base.status();
-      in.atom_tuples.push_back((*base)->size());
-    }
+  for (int i = 0; i < q.num_atoms(); ++i) {
+    in.atom_tuples.push_back(sketch->atom_size(i));
   }
-  in.estimate_bindings = [&](AttrMask attrs) {
-    return ctx.JoinSize(AtomsWithin(q, attrs));
+  in.estimate_bindings = [&](AttrMask attrs, double cap) {
+    return ctx.JoinSize(AtomsWithin(q, attrs), cap);
   };
-  in.estimate_bag_size = [&](int v) {
-    return ctx.JoinSize(decomp->bags[size_t(v)].atoms);
+  in.estimate_bag_size = [&](int v, double cap) {
+    return ctx.JoinSize(decomp->bags[size_t(v)].atoms, cap);
   };
   in.estimate_distinct = [&](AttrId a) { return ctx.Distinct(a); };
   in.order_score = [&](const query::AttributeOrder& order) {

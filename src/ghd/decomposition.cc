@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <functional>
+#include <map>
+#include <mutex>
 #include <span>
+#include <utility>
 
 #include "ghd/fractional_edge_cover.h"
 
@@ -13,6 +16,9 @@ namespace {
 constexpr double kWidthEps = 1e-6;
 // The search enumerates Bell(m) partitions; 12 atoms is ~4.2M of them.
 constexpr int kMaxAtoms = 12;
+// FindOptimalGhd's memo holds at most this many query shapes; a full
+// memo starts over.
+constexpr size_t kMemoShapes = 256;
 
 /// One partition's decomposition: group g's atoms, bag attributes,
 /// rho and join-tree parent at index g.
@@ -176,7 +182,7 @@ std::string Decomposition::ToString(const query::Query& q) const {
   return out;
 }
 
-StatusOr<Decomposition> FindOptimalGhd(const query::Query& q) {
+StatusOr<Decomposition> SearchOptimalGhd(const query::Query& q) {
   const query::Hypergraph h(q);
   const int m = h.num_edges();
   if (m == 0) return Status::InvalidArgument("query has no atoms");
@@ -202,6 +208,29 @@ StatusOr<Decomposition> FindOptimalGhd(const query::Query& q) {
     d.parent.push_back(best.parent[size_t(g)]);
   }
   d.width = best.width;
+  return d;
+}
+
+StatusOr<Decomposition> FindOptimalGhd(const query::Query& q) {
+  // The search reads only the attribute count and each atom's
+  // attribute mask, in atom order: the query's shape.
+  std::pair<int, std::vector<AttrMask>> shape{q.num_attrs(), {}};
+  for (const query::Atom& atom : q.atoms()) {
+    shape.second.push_back(atom.schema.Mask());
+  }
+  static std::mutex mu;
+  static auto* memo =
+      new std::map<std::pair<int, std::vector<AttrMask>>, Decomposition>();
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    auto it = memo->find(shape);
+    if (it != memo->end()) return it->second;
+  }
+  StatusOr<Decomposition> d = SearchOptimalGhd(q);
+  if (!d.ok()) return d;
+  std::lock_guard<std::mutex> lock(mu);
+  if (memo->size() >= kMemoShapes) memo->clear();
+  memo->emplace(std::move(shape), *d);
   return d;
 }
 

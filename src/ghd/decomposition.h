@@ -46,7 +46,15 @@ struct Decomposition {
 /// the one with (1) minimal width, (2) most bags, (3) minimal total
 /// rho, matching Sec. III-A's "maximal size of the pre-computed
 /// relation of each hypernode is minimal".
+///
+/// The result depends only on the query's shape (the attribute count
+/// and the atoms' attribute masks), so it is memoized process-wide by
+/// shape: a repeated shape is a lookup under a mutex. The memo keeps a
+/// bounded number of shapes.
 StatusOr<Decomposition> FindOptimalGhd(const query::Query& q);
+
+/// The search behind FindOptimalGhd, run afresh on every call.
+StatusOr<Decomposition> SearchOptimalGhd(const query::Query& q);
 
 /// All traversal orders of the decomposition's bags: permutations in
 /// which every prefix is connected in the join tree (the validity

@@ -31,7 +31,7 @@ std::vector<ShareInput> CandidateRelations(const PlanningInputs& in,
     ShareInput rel;
     rel.schema = d.bags[size_t(v)].attrs;
     rel.tuples = static_cast<uint64_t>(
-        std::max(1.0, in.estimate_bag_size(v)));
+        std::max(1.0, in.estimate_bag_size(v, kNoCap).value));
     rel.bytes = rel.tuples *
                 uint64_t(PopCount(rel.schema)) * sizeof(Value);
     rels.push_back(rel);
@@ -59,11 +59,10 @@ double CostC(const PlanningInputs& in, const std::vector<bool>& pre) {
   return in.cost_model.CommSeconds(copies);
 }
 
-/// costM(v): modeled pre-computing cost of bag v — shuffling lambda(v)
-/// for its own sub-join plus producing its output at the raw rate.
-double CostM(const PlanningInputs& in, int v) {
+/// The shuffle part of costM(v): modeled seconds to HCube-shuffle
+/// lambda(v) for the bag's own sub-join.
+double CommM(const PlanningInputs& in, int v) {
   const ghd::Bag& bag = in.decomp->bags[size_t(v)];
-  if (bag.IsSingleAtom()) return 0.0;
   std::vector<ShareInput> rels;
   for (int a = 0; a < in.q->num_atoms(); ++a) {
     if ((bag.atoms & (AtomMask(1) << a)) == 0) continue;
@@ -76,13 +75,45 @@ double CostM(const PlanningInputs& in, int v) {
   }
   StatusOr<dist::ShareVector> share =
       OptimizeShares(rels, in.q->num_attrs(), in.cluster);
-  double comm = std::numeric_limits<double>::infinity();
-  if (share.ok()) {
-    comm = in.cost_model.CommSeconds(
-        ShareCost(rels, *share, in.cluster.num_servers));
-  }
-  const double out_size = std::max(1.0, in.estimate_bag_size(v));
-  return comm + in.cost_model.ExtendSeconds(out_size, false);
+  if (!share.ok()) return std::numeric_limits<double>::infinity();
+  return in.cost_model.CommSeconds(
+      ShareCost(rels, *share, in.cluster.num_servers));
+}
+
+/// costM(v) given the shuffle part and |R_v|: the shuffle plus
+/// producing the bag's output at the raw rate.
+double CostM(const PlanningInputs& in, double comm, double bag_size) {
+  return comm + in.cost_model.ExtendSeconds(std::max(1.0, bag_size), false);
+}
+
+/// costM(v): modeled pre-computing cost of bag v.
+double CostM(const PlanningInputs& in, int v) {
+  if (in.decomp->bags[size_t(v)].IsSingleAtom()) return 0.0;
+  return CostM(in, CommM(in, v), in.estimate_bag_size(v, kNoCap).value);
+}
+
+/// The estimate size at which ExtendSeconds reaches `budget`: a
+/// candidate whose estimate reaches it cannot beat the best cost.
+/// Padded by a relative 1e-9 so an estimate at the cap clears the
+/// budget despite rounding. No cap when the budget is not finite.
+double CapFor(const CostModel& cm, double budget, bool fast) {
+  if (!(budget < kNoCap)) return kNoCap;
+  const double beta = fast ? cm.beta_precomputed : cm.beta_raw;
+  return budget * beta * double(std::max(1, cm.num_servers)) * (1 + 1e-9);
+}
+
+/// Asks `estimate` for `key` under `cap`. `loses(value)` tells whether
+/// a value already prices the candidate out. A bounded answer is kept
+/// only when it does; otherwise (rounding put the cap a hair low) the
+/// estimate is asked for again uncapped. So a value the search goes on
+/// with is always uncapped.
+template <typename Key, typename Loses>
+double CappedEstimate(
+    const std::function<Estimate(Key, double)>& estimate, Key key,
+    double cap, const Loses& loses) {
+  const Estimate e = estimate(key, cap);
+  if (!e.bounded || loses(e.value)) return e.value;
+  return estimate(key, kNoCap).value;
 }
 
 /// costE^i for the node at traversal position i (0-based): the cost of
@@ -92,8 +123,16 @@ double CostM(const PlanningInputs& in, int v) {
 /// where comm-first melts down on Q4–Q6), so we sum the per-level
 /// entering binding counts |T(prev ∪ first j fresh attrs)|. A node
 /// contributing no fresh attribute adds no level and costs nothing.
+///
+/// `base` is the candidate's cost before this term and `best` the cost
+/// to beat. Each level's estimate is capped by the budget `best`
+/// leaves after `base` and the earlier levels, and the sum stops once
+/// `base` plus it reaches `best`: the candidate then loses whatever
+/// the remaining levels add. An infinite `best` asks every estimate
+/// uncapped and sums every level.
 double CostE(const PlanningInputs& in, const std::vector<bool>& pre,
-             AttrMask prev_attrs, int v) {
+             AttrMask prev_attrs, int v, double base = 0.0,
+             double best = kNoCap) {
   const AttrMask fresh = in.decomp->bags[size_t(v)].attrs & ~prev_attrs;
   if (fresh == 0) return 0.0;
   const bool fast = NodeFast(*in.decomp, pre, v);
@@ -106,12 +145,23 @@ double CostE(const PlanningInputs& in, const std::vector<bool>& pre,
   std::stable_sort(attrs.begin(), attrs.end(), [&](AttrId x, AttrId y) {
     return in.estimate_distinct(x) < in.estimate_distinct(y);
   });
+  const bool capped = best < kNoCap;
   double cost = 0.0;
   AttrMask mask = prev_attrs;
   for (AttrId a : attrs) {
-    const double bindings =
-        mask == 0 ? 1.0 : std::max(1.0, in.estimate_bindings(mask));
+    double bindings = 1.0;
+    if (mask != 0) {
+      const auto loses = [&](double b) {
+        return base + (cost + in.cost_model.ExtendSeconds(
+                                  std::max(1.0, b), fast)) >= best;
+      };
+      bindings = std::max(
+          1.0, CappedEstimate(in.estimate_bindings, mask,
+                              CapFor(in.cost_model, best - base - cost, fast),
+                              loses));
+    }
     cost += in.cost_model.ExtendSeconds(bindings, fast);
+    if (capped && base + cost >= best) return cost;
     mask |= (AttrMask(1) << a);
   }
   return cost;
@@ -246,22 +296,39 @@ StatusOr<QueryPlan> OptimizeAdaptivePlan(const PlanningInputs& in) {
         if (rest & (1u << u)) prev_attrs |= d.bags[size_t(u)].attrs;
       }
 
-      // Not pre-computing v.
+      // Not pre-computing v. Each candidate's cost is summed term by
+      // term, and the candidate is dropped as soon as a partial sum
+      // reaches best_cost (see OptimizeAdaptivePlan's doc).
       {
-        std::vector<bool> c = pre;
-        const double cost = CostC(in, c) + CostE(in, c, prev_attrs, v);
+        const double comm = CostC(in, pre);
+        const double cost =
+            comm + CostE(in, pre, prev_attrs, v, comm, best_cost);
         if (cost < best_cost) {
           best_cost = cost;
           best_v = v;
           best_pre = false;
         }
       }
-      // Pre-computing v (never for single-atom bags).
+      // Pre-computing v (never for single-atom bags): |R_v| is asked
+      // for under the cap at which costM(v) alone reaches best_cost,
+      // and not at all when even a one-row bag would.
       if (!d.bags[size_t(v)].IsSingleAtom()) {
+        const double comm_m = CommM(in, v);
+        const auto loses = [&](double size) {
+          return CostM(in, comm_m, size) >= best_cost;
+        };
+        if (loses(1.0)) continue;
+        const double size = CappedEstimate(
+            in.estimate_bag_size, v,
+            CapFor(in.cost_model, best_cost - comm_m, false), loses);
+        const double pre_cost = CostM(in, comm_m, size);
+        if (pre_cost >= best_cost) continue;
         std::vector<bool> c = pre;
         c[size_t(v)] = true;
+        const double base = pre_cost + CostC(in, c);
+        if (base >= best_cost) continue;
         const double cost =
-            CostM(in, v) + CostC(in, c) + CostE(in, c, prev_attrs, v);
+            base + CostE(in, c, prev_attrs, v, base, best_cost);
         if (cost < best_cost) {
           best_cost = cost;
           best_v = v;

@@ -26,17 +26,20 @@ std::string ExplainPlan(const PlanningInputs& in, const QueryPlan& plan) {
         atoms += q.atom(a).relation + q.atom(a).schema.ToString();
       }
     }
-    const double est_size =
-        in.estimate_bag_size ? in.estimate_bag_size(v) : 0.0;
-    const double bindings =
-        (prev != 0 && in.estimate_bindings)
-            ? in.estimate_bindings(prev)
-            : 1.0;
+    // A cap of 0 starts no sampling pass the search did not: what
+    // the search only bounded (or never asked for) prints as ">=".
+    const Estimate est_size =
+        in.estimate_bag_size ? in.estimate_bag_size(v, 0.0) : Estimate{};
+    const Estimate bindings = (prev != 0 && in.estimate_bindings)
+                                  ? in.estimate_bindings(prev, 0.0)
+                                  : Estimate{1.0, false};
     std::snprintf(line, sizeof(line),
-                  "  %zu. v%d %s{%s} rho=%.2f est|R_v|=%.3g "
-                  "est|T_prev|=%.3g\n",
+                  "  %zu. v%d %s{%s} rho=%.2f est|R_v|%s%.3g "
+                  "est|T_prev|%s%.3g\n",
                   i + 1, v, plan.precompute[size_t(v)] ? "[PRECOMPUTE] " : "",
-                  atoms.c_str(), bag.rho, est_size, bindings);
+                  atoms.c_str(), bag.rho, est_size.bounded ? ">=" : "=",
+                  est_size.value, bindings.bounded ? ">=" : "=",
+                  bindings.value);
     out += line;
     prev |= bag.attrs;
   }

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <unordered_map>
 
 #include "common/rng.h"
@@ -49,6 +50,28 @@ uint64_t CountSemiJoinRows(const storage::Relation& rel,
   }
   return count;
 }
+
+namespace {
+
+/// The smallest draw-weighted count sum whose estimate
+/// |val(A)| * (sum / k) — the expression the pass returns — reaches
+/// `cap`. Max (never stop) for an infinite or NaN cap, and for a cap
+/// beyond the sums a double counts exactly.
+uint64_t StopSum(double cap, uint64_t val_a, uint64_t k) {
+  constexpr uint64_t kNever = std::numeric_limits<uint64_t>::max();
+  if (cap <= 0) return 0;
+  const double x = cap / double(val_a) * double(k);
+  if (!(x < 0x1p52)) return kNever;
+  auto estimate = [&](uint64_t sum) {
+    return double(val_a) * (double(sum) / double(k));
+  };
+  uint64_t sum = static_cast<uint64_t>(std::ceil(x));
+  while (sum > 0 && estimate(sum - 1) >= cap) --sum;
+  while (estimate(sum) < cap) ++sum;
+  return sum;
+}
+
+}  // namespace
 
 StatusOr<SampleEstimate> SampleCardinality(const query::Query& q,
                                            const storage::Catalog& db,
@@ -138,6 +161,20 @@ StatusOr<SampleEstimate> SampleCardinality(const query::Query& q,
       ++draws[it->second];
     }
   }
+  // Once the draw-weighted count sum reaches `stop_sum` the estimate
+  // has reached the cap: no worker claims another value, and a run is
+  // cut at the count that gets the sum there. `found` is the running
+  // sum; a worker reads it before a run, so its cut is never early.
+  const uint64_t stop_sum =
+      StopSum(options.stop_at_cardinality, est.val_a_size, k);
+  if (stop_sum == 0) {
+    est.bounded = true;
+    est.seconds = timer.Seconds();
+    return est;
+  }
+  const bool capped = stop_sum != std::numeric_limits<uint64_t>::max();
+  std::atomic<uint64_t> found{0};
+  std::atomic<bool> reached{false};
   const uint64_t n = values.size();
   const int threads = dist::FanOutThreads(n);
   // Every worker's Leapfrog and stats are set up here, on the calling
@@ -165,17 +202,29 @@ StatusOr<SampleEstimate> SampleCardinality(const query::Query& q,
       wcoj::JoinStats& run = run_stats[size_t(w)];
       wcoj::JoinStats& acc = worker_stats[size_t(w)];
       for (uint64_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
+        if (reached.load()) break;
         if (i > 0 && timer.Seconds() >= options.max_total_seconds) break;
         ran[i] = 1;
         std::fill(run.tuples_at_level.begin(), run.tuples_at_level.end(), 0);
         run.extensions = 0;
-        StatusOr<uint64_t> count =
-            leapfrogs[size_t(w)].Run(/*emit=*/nullptr, &run, values[i]);
+        uint64_t stop_at = std::numeric_limits<uint64_t>::max();
+        if (capped) {
+          const uint64_t have = found.load();
+          const uint64_t need = have < stop_sum ? stop_sum - have : 1;
+          stop_at = (need + draws[i] - 1) / draws[i];
+        }
+        StatusOr<uint64_t> count = leapfrogs[size_t(w)].Run(
+            /*emit=*/nullptr, &run, values[i], stop_at);
         // A capped sample counts as drawn with a zero count (its
         // partial work still lands in the per-level stats) — a
         // documented bias source; with default (unlimited) limits this
         // never fires.
         if (count.ok()) counts[i] = *count;
+        if (capped && count.ok() &&
+            found.fetch_add(draws[i] * *count) + draws[i] * *count >=
+                stop_sum) {
+          reached.store(true);
+        }
         for (size_t l = 0; l < run.tuples_at_level.size(); ++l) {
           acc.tuples_at_level[l] += draws[i] * run.tuples_at_level[l];
         }
@@ -200,7 +249,12 @@ StatusOr<SampleEstimate> SampleCardinality(const query::Query& q,
     sampled.push_back(values[i]);
   }
   est.samples = drawn;
-  est.cardinality = double(est.val_a_size) * (double(sum) / double(drawn));
+  // A reached cap takes the counts not found as 0: a lower bound over
+  // all k draws. Otherwise no run was cut, and the mean is over the
+  // draws of the values run.
+  est.bounded = capped && sum >= stop_sum;
+  est.cardinality = double(est.val_a_size) *
+                    (double(sum) / double(est.bounded ? k : drawn));
 
   // Scaled per-level counts: X̄ per level times |val(A)|.
   est.est_tuples_at_level.resize(stats.tuples_at_level.size());

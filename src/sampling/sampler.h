@@ -30,6 +30,14 @@ struct SamplerOptions {
   /// SampleEstimate::samples reports the drawn count so callers can
   /// see the truncation. Infinite (default) = draw all num_samples.
   double max_total_seconds = std::numeric_limits<double>::infinity();
+  /// Stop-at cardinality: the pass stops once its estimate provably
+  /// reaches this value, i.e. once the draw-weighted sum of the counts
+  /// found so far, scaled as |val(A)| * sum / k, gets there (a pinned
+  /// run is itself cut at the count that would get there). It then
+  /// returns that lower bound with SampleEstimate::bounded set.
+  /// Infinite (default) = never stop early. A pass that does not reach
+  /// the cap returns exactly the estimate of an uncapped pass.
+  double stop_at_cardinality = std::numeric_limits<double>::infinity();
 };
 
 /// Worker threads of a sampling pass started on this thread:
@@ -42,6 +50,13 @@ int SamplingThreads();
 /// Outcome of one sampling-based estimation run (Sec. IV).
 struct SampleEstimate {
   double cardinality = 0.0;  // estimated |T| = |val(A)| * mean(X)
+  /// The pass reached SamplerOptions::stop_at_cardinality and stopped:
+  /// `cardinality` is then a lower bound, at least the cap and at most
+  /// the uncapped estimate (the counts not yet found are taken as 0).
+  /// Which runs finished first depends on the workers' timing, so a
+  /// bounded value can differ between two passes; an unbounded one
+  /// cannot.
+  bool bounded = false;
   uint64_t val_a_size = 0;   // |val(A)|
   uint64_t samples = 0;      // k
   double seconds = 0.0;      // measured sampling wall time
@@ -71,8 +86,8 @@ struct SampleEstimate {
 /// estimate is exactly that of k runs. The pinned runs are spread over
 /// SamplingThreads() workers, on dist::RunTasks' shared pool. Counts
 /// are summed as integers, so an untruncated pass returns the same
-/// estimate for any worker count; only the timings and a
-/// budget-truncated sample set can differ.
+/// estimate for any worker count; only the timings, a budget-truncated
+/// sample set and a bounded (stop-at) estimate can differ.
 StatusOr<SampleEstimate> SampleCardinality(const query::Query& q,
                                            const storage::Catalog& db,
                                            const query::AttributeOrder& order,

@@ -3,38 +3,55 @@
 #include <algorithm>
 #include <limits>
 
+#include "storage/index_cache.h"
+
 namespace adj::sampling {
 
-const std::vector<Value>& DistinctColumns::Get(const storage::Relation& rel,
-                                               int col) {
-  auto [it, inserted] = columns_.try_emplace({&rel, col});
-  if (inserted) it->second = rel.DistinctColumn(col);
-  return it->second;
+StatusOr<std::shared_ptr<const std::vector<Value>>> DistinctColumn(
+    const storage::Catalog& db, const std::string& name, int col) {
+  StatusOr<std::shared_ptr<const storage::Relation>> base = db.GetShared(name);
+  if (!base.ok()) return base.status();
+  const storage::Relation* rel = base->get();
+  if (col < 0 || col >= rel->arity()) {
+    return Status::InvalidArgument("distinct column out of range");
+  }
+  StatusOr<std::shared_ptr<const void>> artifact =
+      db.index_cache().GetOrBuild(
+          rel, "distinct:" + std::to_string(col), std::move(*base),
+          [&](const storage::IndexCache::PatchBase*)
+              -> StatusOr<storage::IndexCache::BuildResult> {
+            auto values = std::make_shared<const std::vector<Value>>(
+                rel->DistinctColumn(col));
+            storage::IndexCache::BuildResult built;
+            built.bytes = values->size() * sizeof(Value);
+            built.artifact = std::move(values);
+            built.statistic = true;
+            return built;
+          });
+  if (!artifact.ok()) return artifact.status();
+  return std::static_pointer_cast<const std::vector<Value>>(*artifact);
 }
 
-StatusOr<SketchEstimator> SketchEstimator::Build(const query::Query& q,
-                                                 const storage::Catalog& db) {
-  DistinctColumns columns;
-  return Build(q, db, columns);
-}
-
-StatusOr<SketchEstimator> SketchEstimator::Build(const query::Query& q,
-                                                 const storage::Catalog& db,
-                                                 DistinctColumns& columns) {
+StatusOr<SketchEstimator> SketchEstimator::Build(
+    const query::Query& q, const storage::Catalog& db,
+    std::span<const uint64_t> atom_tuples) {
   SketchEstimator est;
   est.q_ = &q;
   est.sizes_.resize(q.num_atoms());
   est.distinct_.assign(q.num_atoms(),
                        std::vector<uint64_t>(q.num_attrs(), 0));
+  const bool distinct_sizes = atom_tuples.size() == size_t(q.num_atoms());
   for (int i = 0; i < q.num_atoms(); ++i) {
     StatusOr<const storage::Relation*> base = db.Get(q.atom(i).relation);
     if (!base.ok()) return base.status();
-    const storage::Relation& rel = **base;
-    est.sizes_[size_t(i)] = rel.size();
+    est.sizes_[size_t(i)] =
+        distinct_sizes ? atom_tuples[size_t(i)] : (*base)->size();
     const storage::Schema& schema = q.atom(i).schema;
     for (int c = 0; c < schema.arity(); ++c) {
-      est.distinct_[size_t(i)][size_t(schema.attr(c))] =
-          columns.Get(rel, c).size();
+      StatusOr<std::shared_ptr<const std::vector<Value>>> column =
+          DistinctColumn(db, q.atom(i).relation, c);
+      if (!column.ok()) return column.status();
+      est.distinct_[size_t(i)][size_t(schema.attr(c))] = (*column)->size();
     }
   }
   return est;

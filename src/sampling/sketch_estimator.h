@@ -1,8 +1,9 @@
 #ifndef ADJ_SAMPLING_SKETCH_ESTIMATOR_H_
 #define ADJ_SAMPLING_SKETCH_ESTIMATOR_H_
 
-#include <map>
-#include <utility>
+#include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -13,19 +14,15 @@
 
 namespace adj::sampling {
 
-/// Sorted distinct values of base-relation columns, each computed
-/// (Relation::DistinctColumn: a copy and a sort) on its first request
-/// only. One table serves one planning run, which reads the same
-/// columns many times; it holds the relations by address, so it must
-/// not outlive them.
-class DistinctColumns {
- public:
-  const std::vector<Value>& Get(const storage::Relation& rel, int col);
-
- private:
-  std::map<std::pair<const storage::Relation*, int>, std::vector<Value>>
-      columns_;
-};
+/// Sorted distinct values of column `col` of the catalog's relation
+/// `name`: an IndexCache artifact keyed by (relation, column) and
+/// pinned to the base. Every plan against one relation version shares
+/// one Relation::DistinctColumn (a copy and a sort), and a write that
+/// replaces the relation releases it. The artifact is the value list
+/// itself, not a trie root: a trie rooted at the column would be a
+/// whole index of the relation.
+StatusOr<std::shared_ptr<const std::vector<Value>>> DistinctColumn(
+    const storage::Catalog& db, const std::string& name, int col);
 
 /// Classic sketch-based (System-R style) cardinality estimator: per
 /// attribute distinct counts with uniformity + independence
@@ -35,12 +32,13 @@ class DistinctColumns {
 /// (comm-first) baseline uses.
 class SketchEstimator {
  public:
-  static StatusOr<SketchEstimator> Build(const query::Query& q,
-                                         const storage::Catalog& db);
-  /// Build reading the distinct counts through `columns`.
-  static StatusOr<SketchEstimator> Build(const query::Query& q,
-                                         const storage::Catalog& db,
-                                         DistinctColumns& columns);
+  /// Distinct counts come from DistinctColumn. Atom sizes come from
+  /// `atom_tuples` when it holds one count per atom (distinct tuple
+  /// counts, e.g. SampleEstimate::atom_tuples), else from the bases'
+  /// row counts, which also count duplicate rows.
+  static StatusOr<SketchEstimator> Build(
+      const query::Query& q, const storage::Catalog& db,
+      std::span<const uint64_t> atom_tuples = {});
 
   /// Estimated size of the join of the atoms in `atoms`:
   ///   prod |R_i| / prod_A (product of the largest (c_A - 1) distinct

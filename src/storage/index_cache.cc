@@ -64,6 +64,10 @@ StatusOr<std::shared_ptr<const void>> IndexCache::GetOrBuildTagged(
       continue;
     }
     entry->lru_tick = ++tick_;
+    if (entry->statistic) {
+      ++stats_.statistic_hits;
+      return entry->artifact;
+    }
     ++stats_.hits;
     if (entry->mmap) ++stats_.mmap_hits;
     if (stats != nullptr) {
@@ -97,7 +101,10 @@ StatusOr<std::shared_ptr<const void>> IndexCache::GetOrBuildTagged(
   entry->lru_tick = ++tick_;
   entry->ready = true;
   entry->patched = built->patched;
-  if (built->patched) {
+  entry->statistic = built->statistic;
+  if (built->statistic) {
+    ++stats_.statistic_builds;
+  } else if (built->patched) {
     ++stats_.patched_builds;
     if (stats != nullptr) {
       ++stats->patched;

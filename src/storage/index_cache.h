@@ -103,6 +103,10 @@ class IndexCache {
     uint64_t resident_bytes = 0;
     uint64_t entries = 0;
     uint64_t mmap_entries = 0;  // entries adopted from a snapshot
+    // Builds and hits of planner statistics (BuildResult::statistic),
+    // which `builds` and `hits` leave out: those count indexes.
+    uint64_t statistic_builds = 0;
+    uint64_t statistic_hits = 0;
   };
 
   /// `budget_bytes` caps resident artifact bytes (0 = unbounded).
@@ -136,6 +140,10 @@ class IndexCache {
     // to layers built over it.
     bool patched = false;
     uint64_t delta_rows_merged = 0;
+    // Set when the artifact is a planner statistic (a distinct-column
+    // list), not an index: its builds and hits tick the `statistic_*`
+    // counters, never `builds`/`hits` or the caller's IndexBuildStats.
+    bool statistic = false;
   };
 
   /// What a derived artifact can be patched from after a write: the
@@ -288,6 +296,7 @@ class IndexCache {
     bool ready = false;
     bool mmap = false;  // adopted from a snapshot (arrays view the map)
     bool patched = false;  // produced by / derived from a delta patch
+    bool statistic = false;  // BuildResult::statistic
     std::shared_ptr<const PermutedMeta> meta;  // permuted layers only
   };
   using Key = std::pair<const void*, std::string>;

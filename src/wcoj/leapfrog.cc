@@ -109,19 +109,22 @@ class Leapfrog::Executor {
 
   StatusOr<uint64_t> Run(const EmitFn* emit, JoinStats* stats,
                          std::optional<Value> first_value,
-                         const RootRange& range, const JoinLimits& limits) {
+                         const RootRange& range, const JoinLimits& limits,
+                         uint64_t stop_at) {
     emit_ = emit;
     stats_ = stats;
     first_value_ = first_value;
     range_ = range;
     limits_ = limits;
+    stop_at_ = stop_at;
+    stopped_ = false;
     std::fill(tuples_local_.begin(), tuples_local_.end(), 0);
     kernel_stats_ = {};
     cache_hits_ = cache_misses_ = count_ = extensions_ = 0;
     timer_.Restart();
     Status st = Descend(0);
     FlushStats();
-    if (!st.ok()) return st;
+    if (!st.ok() && !stopped_) return st;
     return count_;
   }
 
@@ -489,6 +492,11 @@ class Leapfrog::Executor {
       if (emit_ != nullptr && *emit_) {
         (*emit_)(std::span<const Value>(binding_.data(), binding_.size()));
       }
+      if (count_ >= stop_at_) {
+        // Unwinds the recursion; Run turns it back into the count.
+        stopped_ = true;
+        return Status::OutOfRange("stop count reached");
+      }
       return Status::OK();
     }
     return Descend(i + 1);
@@ -524,6 +532,8 @@ class Leapfrog::Executor {
   std::optional<Value> first_value_;
   RootRange range_;
   JoinLimits limits_;
+  uint64_t stop_at_ = std::numeric_limits<uint64_t>::max();
+  bool stopped_ = false;
 
   std::vector<std::vector<Participant>> participants_;  // per order pos
   std::vector<std::vector<uint32_t>> indexes_;  // per input per level
@@ -566,17 +576,19 @@ StatusOr<Leapfrog> Leapfrog::Bind(const std::vector<JoinInput>& inputs,
 }
 
 StatusOr<uint64_t> Leapfrog::Run(const EmitFn* emit, JoinStats* stats,
-                                 std::optional<Value> first_value) {
+                                 std::optional<Value> first_value,
+                                 uint64_t stop_at) {
   if (exec_ == nullptr) return Status::InvalidArgument("unbound Leapfrog");
   return exec_->Run(emit, stats, first_value, RootRange{},
-                    exec_->bound_limits());
+                    exec_->bound_limits(), stop_at);
 }
 
 StatusOr<uint64_t> Leapfrog::Run(const EmitFn* emit, JoinStats* stats,
                                  const RootRange& range,
                                  const JoinLimits& limits) {
   if (exec_ == nullptr) return Status::InvalidArgument("unbound Leapfrog");
-  return exec_->Run(emit, stats, std::nullopt, range, limits);
+  return exec_->Run(emit, stats, std::nullopt, range, limits,
+                    std::numeric_limits<uint64_t>::max());
 }
 
 StatusOr<uint64_t> LeapfrogJoin(const std::vector<JoinInput>& inputs,

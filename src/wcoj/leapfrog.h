@@ -131,12 +131,16 @@ class Leapfrog {
   /// only) and adds this run's counters to `stats` (may be null).
   /// `first_value`, when set, pins the first attribute to one value —
   /// the sampler's "Leapfrog starting from A with the attribute fixed
-  /// as a". The limits apply to each run on its own.
+  /// as a". The limits apply to each run on its own. The run stops
+  /// once it has found `stop_at` result tuples and returns that
+  /// partial count (the stats then cover the work done so far).
   ///
   /// Returns the number of result tuples, or ResourceExhausted /
   /// DeadlineExceeded when a limit trips.
-  StatusOr<uint64_t> Run(const EmitFn* emit, JoinStats* stats,
-                         std::optional<Value> first_value = {});
+  StatusOr<uint64_t> Run(
+      const EmitFn* emit, JoinStats* stats,
+      std::optional<Value> first_value = {},
+      uint64_t stop_at = std::numeric_limits<uint64_t>::max());
 
   /// One join restricted to root values in `range`, under `limits`
   /// instead of the bound ones. Each root participant's span is

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "ghd/decomposition.h"
 #include "ghd/fractional_edge_cover.h"
@@ -141,6 +143,80 @@ TEST(GhdTest, GoldenDecompositions) {
     auto d = FindOptimalGhd(*q);
     ASSERT_TRUE(d.ok()) << text;
     EXPECT_EQ(Fingerprint(*d), golden) << text;
+  }
+  // The second call of each shape is a memo hit; it and a fresh search
+  // give the golden decomposition too.
+  for (int qi = 1; qi <= 11; ++qi) {
+    auto q = query::MakeBenchmarkQuery(qi);
+    ASSERT_TRUE(q.ok());
+    auto hit = FindOptimalGhd(*q);
+    auto fresh = SearchOptimalGhd(*q);
+    ASSERT_TRUE(hit.ok() && fresh.ok()) << "Q" << qi;
+    EXPECT_EQ(Fingerprint(*hit), kGolden[qi - 1]) << "Q" << qi;
+    EXPECT_EQ(Fingerprint(*fresh), kGolden[qi - 1]) << "Q" << qi;
+  }
+}
+
+/// The memo is keyed by shape: renaming relations and attributes hits
+/// the same entry, while a different shape gets its own search.
+TEST(GhdTest, MemoKeysOnShapeOnly) {
+  auto a = Query::Parse("R(a,b) S(b,c) T(a,c) U(c,d)");
+  auto b = Query::Parse("X(p,q) Y(q,r) Z(p,r) W(r,s)");
+  auto c = Query::Parse("R(a,b) S(b,c) T(c,d) U(a,d)");
+  ASSERT_TRUE(a.ok() && b.ok() && c.ok());
+  auto da = FindOptimalGhd(*a);
+  auto db = FindOptimalGhd(*b);
+  auto dc = FindOptimalGhd(*c);
+  ASSERT_TRUE(da.ok() && db.ok() && dc.ok());
+  EXPECT_EQ(Fingerprint(*da), Fingerprint(*db));
+  EXPECT_EQ(Fingerprint(*dc), Fingerprint(*SearchOptimalGhd(*c)));
+  EXPECT_NE(Fingerprint(*da), Fingerprint(*dc));
+}
+
+/// Concurrent callers (memo misses and hits racing on one mutex) all
+/// get the fresh search's decomposition.
+TEST(GhdTest, ConcurrentCallersAgreeWithFreshSearch) {
+  std::vector<Query> queries;
+  std::vector<std::string> want;
+  for (int qi = 1; qi <= 11; ++qi) {
+    auto q = query::MakeBenchmarkQuery(qi);
+    ASSERT_TRUE(q.ok());
+    auto d = SearchOptimalGhd(*q);
+    ASSERT_TRUE(d.ok());
+    queries.push_back(*q);
+    want.push_back(Fingerprint(*d));
+  }
+  // Shapes no other test plans, so the first calls here are misses.
+  for (const char* text : {"R(a,b) S(b,c) T(c,d) U(d,e) V(e,a) W(a,c)",
+                           "R(a,b) S(b,c) T(c,d) U(d,a) V(a,e) W(e,b)"}) {
+    auto q = Query::Parse(text);
+    ASSERT_TRUE(q.ok());
+    auto d = SearchOptimalGhd(*q);
+    ASSERT_TRUE(d.ok());
+    queries.push_back(*q);
+    want.push_back(Fingerprint(*d));
+  }
+  std::vector<std::vector<std::string>> got(4);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < got.size(); ++t) {
+    threads.emplace_back([&, t] {
+      for (int rep = 0; rep < 3; ++rep) {
+        for (size_t i = 0; i < queries.size(); ++i) {
+          // Each thread walks the shapes from its own offset.
+          const Query& q = queries[(i + 3 * t) % queries.size()];
+          auto d = FindOptimalGhd(q);
+          got[t].push_back(d.ok() ? Fingerprint(*d) : d.status().ToString());
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (size_t t = 0; t < got.size(); ++t) {
+    ASSERT_EQ(got[t].size(), 3 * queries.size());
+    for (size_t j = 0; j < got[t].size(); ++j) {
+      const size_t i = (j % queries.size() + 3 * t) % queries.size();
+      EXPECT_EQ(got[t][j], want[i]) << "thread " << t << " shape " << i;
+    }
   }
 }
 

@@ -4,7 +4,9 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <string>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "dataset/generators.h"
 #include "ghd/decomposition.h"
@@ -105,11 +107,11 @@ class PlanningTest : public ::testing::Test {
     in_.atom_tuples = {1000, 800, 800, 800, 800};
     // Synthetic but internally consistent estimates: bindings grow
     // with attribute count; bags are modest.
-    in_.estimate_bindings = [](AttrMask attrs) {
-      return std::pow(10.0, PopCount(attrs));
+    in_.estimate_bindings = [](AttrMask attrs, double) {
+      return Estimate{std::pow(10.0, PopCount(attrs))};
     };
-    in_.estimate_bag_size = [this](int v) {
-      return 50.0 * PopCount(decomp_.bags[size_t(v)].atoms);
+    in_.estimate_bag_size = [this](int v, double) {
+      return Estimate{50.0 * PopCount(decomp_.bags[size_t(v)].atoms)};
     };
     in_.estimate_distinct = [](AttrId a) { return 100.0 + a; };
   }
@@ -153,9 +155,9 @@ TEST_F(PlanningTest, ExpensiveComputationTriggersPrecompute) {
   // multi-atom bags must win.
   in_.cost_model.beta_raw = 1.0;         // 1 extension/sec
   in_.cost_model.beta_precomputed = 1e9;
-  in_.estimate_bag_size = [](int) { return 10.0; };
-  in_.estimate_bindings = [](AttrMask attrs) {
-    return std::pow(10.0, PopCount(attrs));
+  in_.estimate_bag_size = [](int, double) { return Estimate{10.0}; };
+  in_.estimate_bindings = [](AttrMask attrs, double) {
+    return Estimate{std::pow(10.0, PopCount(attrs))};
   };
   auto plan = OptimizeAdaptivePlan(in_);
   ASSERT_TRUE(plan.ok());
@@ -185,8 +187,12 @@ TEST_F(PlanningTest, UnknownEstimatesStillYieldValidPlan) {
   for (auto optimize : {&OptimizeAdaptivePlan, &OptimizeExhaustivePlan}) {
     for (const double unknown : {std::numeric_limits<double>::infinity(),
                                  std::numeric_limits<double>::quiet_NaN()}) {
-      in_.estimate_bindings = [unknown](AttrMask) { return unknown; };
-      in_.estimate_bag_size = [unknown](int) { return unknown; };
+      in_.estimate_bindings = [unknown](AttrMask, double) {
+        return Estimate{unknown};
+      };
+      in_.estimate_bag_size = [unknown](int, double) {
+        return Estimate{unknown};
+      };
       in_.estimate_distinct = [unknown](AttrId) { return unknown; };
       auto plan = optimize(in_);
       ASSERT_TRUE(plan.ok()) << plan.status();
@@ -226,6 +232,100 @@ TEST_F(PlanningTest, DeriveOrderRespectsDistinctCounts) {
   query::AttributeOrder order = DeriveOrder(in_, traversal);
   EXPECT_EQ(order.size(), 5u);
   EXPECT_TRUE(ghd::IsValidOrder(decomp_, q_, order));
+}
+
+/// A value drawn from (key, trial) alone, log-uniform over
+/// [10, 10^7): the same whatever order the search asks in.
+double DrawnSize(uint64_t trial, uint64_t key) {
+  const uint64_t h = Mix64(HashCombine(trial, key));
+  return std::pow(10.0, 1.0 + 6.0 * double(h >> 11) * 0x1p-53);
+}
+
+/// Branch and bound must not change the search's outcome. Per trial,
+/// the "exact" estimates are random but fixed per mask and bag; the
+/// capped oracle answers any value in [cap, exact], flagged bounded,
+/// once exact >= cap — the cap itself, the exact value, or one in
+/// between. Order, traversal, pre-compute set and estimated costs must
+/// equal the uncapped search's, over the fig-series query shapes.
+TEST(CappedSearchTest, PlansEqualUncappedSearchOnFigQueries) {
+  uint64_t capped_requests = 0, bounded_answers = 0, precomputing_plans = 0;
+  for (int qi = 1; qi <= 11; ++qi) {
+    auto q = query::MakeBenchmarkQuery(qi);
+    ASSERT_TRUE(q.ok());
+    auto d = ghd::FindOptimalGhd(*q);
+    ASSERT_TRUE(d.ok());
+    for (uint64_t trial = 0; trial < 60; ++trial) {
+      const uint64_t seed = uint64_t(qi) * 1000 + trial;
+      Rng rng(seed);
+      PlanningInputs in;
+      in.q = &*q;
+      in.decomp = &*d;
+      in.cluster = TestCluster(4);
+      in.cost_model.num_servers = 4;
+      in.cost_model.beta_precomputed = 4e6;
+      in.cost_model.beta_raw = std::pow(10.0, 3.0 + 4.0 * rng.NextDouble());
+      for (int a = 0; a < q->num_atoms(); ++a) {
+        in.atom_tuples.push_back(1000 + rng.Uniform(100000));
+      }
+      in.estimate_distinct = [](AttrId a) { return 100.0 + a; };
+      auto exact_bindings = [seed](AttrMask m) {
+        return DrawnSize(seed, m);
+      };
+      auto exact_bag = [seed](int v) {
+        return DrawnSize(seed, (uint64_t(1) << 40) + uint64_t(v));
+      };
+      in.estimate_bindings = [&](AttrMask m, double) {
+        return Estimate{exact_bindings(m)};
+      };
+      in.estimate_bag_size = [&](int v, double) {
+        return Estimate{exact_bag(v)};
+      };
+      auto uncapped = OptimizeAdaptivePlan(in);
+      ASSERT_TRUE(uncapped.ok());
+
+      Rng answers(seed ^ 0xABCDEF);
+      auto capped_answer = [&](double exact, double cap) {
+        if (cap < kNoCap) ++capped_requests;
+        if (exact < cap) return Estimate{exact};
+        ++bounded_answers;
+        const double lo = std::max(cap, 0.0);
+        switch (answers.Uniform(3)) {
+          case 0:
+            return Estimate{lo, true};
+          case 1:
+            return Estimate{exact, true};
+          default:
+            return Estimate{lo + (exact - lo) * answers.NextDouble(), true};
+        }
+      };
+      in.estimate_bindings = [&](AttrMask m, double cap) {
+        return capped_answer(exact_bindings(m), cap);
+      };
+      in.estimate_bag_size = [&](int v, double cap) {
+        return capped_answer(exact_bag(v), cap);
+      };
+      auto capped = OptimizeAdaptivePlan(in);
+      ASSERT_TRUE(capped.ok());
+      const std::string at =
+          "Q" + std::to_string(qi) + " trial " + std::to_string(trial);
+      EXPECT_EQ(capped->order, uncapped->order) << at;
+      EXPECT_EQ(capped->traversal, uncapped->traversal) << at;
+      EXPECT_EQ(capped->precompute, uncapped->precompute) << at;
+      EXPECT_EQ(capped->est_precompute_s, uncapped->est_precompute_s) << at;
+      EXPECT_EQ(capped->est_comm_s, uncapped->est_comm_s) << at;
+      EXPECT_EQ(capped->est_comp_s, uncapped->est_comp_s) << at;
+      for (const bool pre : uncapped->precompute) {
+        if (pre) {
+          ++precomputing_plans;
+          break;
+        }
+      }
+    }
+  }
+  // The trials did exercise the caps, and plans that pre-compute.
+  EXPECT_GT(capped_requests, 1000u);
+  EXPECT_GT(bounded_answers, 100u);
+  EXPECT_GT(precomputing_plans, 10u);
 }
 
 TEST(PlanToStringTest, MentionsTraversalAndOrder) {

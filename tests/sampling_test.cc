@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <limits>
+#include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -252,12 +255,95 @@ TEST(ParallelSamplerTest, DistinctDrawsMatchKRunGolden) {
     EXPECT_EQ(est->comm.tuple_copies, 13268u);
     EXPECT_EQ(est->comm.blocks, 16u);
   };
-  check(SampleCardinality(*q, db, {0, 1, 2, 3}, opts));
-  StatusOr<SampleEstimate> serial = Status::Internal("not run");
-  OnPoolWorker([&] {
-    serial = SampleCardinality(*q, db, {0, 1, 2, 3}, opts);
-  });
-  check(serial);
+  // A cap the pass does not reach changes nothing, on one worker or on
+  // the host's cores: the smallest cap above the estimate included.
+  for (const double cap : {std::numeric_limits<double>::infinity(), 1e9,
+                           std::nextafter(839607.25599999994, 1e9)}) {
+    opts.stop_at_cardinality = cap;
+    auto est = SampleCardinality(*q, db, {0, 1, 2, 3}, opts);
+    check(est);
+    EXPECT_FALSE(est->bounded);
+    StatusOr<SampleEstimate> serial = Status::Internal("not run");
+    OnPoolWorker([&] {
+      serial = SampleCardinality(*q, db, {0, 1, 2, 3}, opts);
+    });
+    check(serial);
+    EXPECT_FALSE(serial->bounded);
+  }
+}
+
+/// A cap the pass reaches stops it: the estimate comes back bounded,
+/// at least the cap and at most the uncapped estimate, on one worker
+/// and on the host's cores.
+TEST(ParallelSamplerTest, ReachedCapGivesBoundedLowerBound) {
+  Rng rng(41);
+  storage::Catalog db;
+  ASSERT_TRUE(db.Apply(
+      WriteBatch().Create("G", dataset::ZipfGraph(300, 4000, 0.8, rng))).ok());
+  auto q = Query::Parse("G(a,b) G(b,c) G(c,d) G(a,c)");
+  SamplerOptions opts;
+  opts.num_samples = 1000;
+  opts.seed = 9;
+  auto uncapped = SampleCardinality(*q, db, {0, 1, 2, 3}, opts);
+  ASSERT_TRUE(uncapped.ok());
+  ASSERT_FALSE(uncapped->bounded);
+  const double exact = uncapped->cardinality;
+  for (const double cap : {1.0, 0.01 * exact, 0.5 * exact, exact}) {
+    opts.stop_at_cardinality = cap;
+    auto check = [&](const StatusOr<SampleEstimate>& est) {
+      ASSERT_TRUE(est.ok()) << est.status();
+      EXPECT_TRUE(est->bounded) << cap;
+      EXPECT_GE(est->cardinality, cap);
+      EXPECT_LE(est->cardinality, exact);
+      EXPECT_EQ(est->val_a_size, uncapped->val_a_size);
+    };
+    auto est = SampleCardinality(*q, db, {0, 1, 2, 3}, opts);
+    check(est);
+    if (cap < 0.5 * exact) {
+      EXPECT_LT(est->samples, 1000u) << cap;
+    }
+    StatusOr<SampleEstimate> serial = Status::Internal("not run");
+    OnPoolWorker([&] {
+      serial = SampleCardinality(*q, db, {0, 1, 2, 3}, opts);
+    });
+    check(serial);
+  }
+}
+
+/// All 7 draws land on the one value of val(a), whose pinned run finds
+/// many results: a cap at about half the estimate cuts that run
+/// mid-way, at the first count whose 7-fold weight reaches the cap.
+TEST(ParallelSamplerTest, ReachedCapCutsAPinnedRunMidWay) {
+  storage::Relation star(storage::Schema({0, 1}));
+  for (Value b = 0; b < 30; ++b) star.Append({0, b});
+  storage::Catalog db;
+  ASSERT_TRUE(db.Apply(WriteBatch()
+                           .Create("R", star)
+                           .Create("G", dataset::CompleteGraph(30)))
+                  .ok());
+  auto q = Query::Parse("R(a,b) G(b,c) G(c,d)");
+  SamplerOptions opts;
+  opts.num_samples = 7;
+  auto uncapped = SampleCardinality(*q, db, {0, 1, 2, 3}, opts);
+  ASSERT_TRUE(uncapped.ok());
+  ASSERT_EQ(uncapped->val_a_size, 1u);
+  // a = 0: 30 * 29 * 29 results.
+  ASSERT_EQ(uncapped->cardinality, 30.0 * 29 * 29);
+  // 7 * 12615.5 is not a multiple of 7: the cut must round up.
+  opts.stop_at_cardinality = 12615.5;
+  for (const bool on_pool : {false, true}) {
+    StatusOr<SampleEstimate> est = Status::Internal("not run");
+    auto run = [&] { est = SampleCardinality(*q, db, {0, 1, 2, 3}, opts); };
+    if (on_pool) {
+      OnPoolWorker(run);
+    } else {
+      run();
+    }
+    ASSERT_TRUE(est.ok()) << est.status();
+    EXPECT_TRUE(est->bounded);
+    EXPECT_EQ(est->samples, 7u);
+    EXPECT_EQ(est->cardinality, 12616.0);
+  }
 }
 
 /// An exhausted budget still runs the first drawn value, and the
@@ -301,6 +387,53 @@ TEST(ParallelSamplerTest, ThreadCountIsCoresOffPoolAndOneOnPool) {
   EXPECT_EQ(seen, std::vector<int>(2, 1));
   dist::RunTasks(1, {[&] { seen[0] = SamplingThreads(); }});
   EXPECT_EQ(seen[0], cores);
+}
+
+/// Distinct columns are IndexCache artifacts: a repeated request is a
+/// hit on the same value list, a write's new relation version gets its
+/// own, and replacing the relation releases the old versions' lists.
+TEST(DistinctColumnTest, CachedPerRelationVersionAndReleasedByAWrite) {
+  storage::Catalog db;
+  storage::Relation g(storage::Schema({0, 1}));
+  for (const auto& [a, b] : {std::pair<Value, Value>{5, 1}, {2, 1}, {5, 3},
+                             {2, 1}, {9, 1}}) {
+    g.Append({a, b});
+  }
+  ASSERT_TRUE(db.Apply(WriteBatch().Create("G", g)).ok());
+  auto first = DistinctColumn(db, "G", 0);
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_EQ(**first, (std::vector<Value>{2, 5, 9}));
+  // Counted as a planner statistic, not as an index.
+  EXPECT_EQ(db.index_cache().stats().statistic_builds, 1u);
+  EXPECT_EQ(db.index_cache().stats().builds, 0u);
+  auto again = DistinctColumn(db, "G", 0);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->get(), first->get());
+  EXPECT_EQ(db.index_cache().stats().statistic_builds, 1u);
+  EXPECT_EQ(db.index_cache().stats().statistic_hits, 1u);
+  EXPECT_EQ(db.index_cache().stats().hits, 0u);
+  auto second_col = DistinctColumn(db, "G", 1);
+  ASSERT_TRUE(second_col.ok());
+  EXPECT_EQ(**second_col, (std::vector<Value>{1, 3}));
+  EXPECT_FALSE(DistinctColumn(db, "G", 2).ok());
+  EXPECT_FALSE(DistinctColumn(db, "H", 0).ok());
+
+  ASSERT_TRUE(db.Apply(WriteBatch().Insert("G", {7, 3})).ok());
+  auto inserted = DistinctColumn(db, "G", 0);
+  ASSERT_TRUE(inserted.ok());
+  EXPECT_EQ(**inserted, (std::vector<Value>{2, 5, 7, 9}));
+
+  std::weak_ptr<const std::vector<Value>> before = *first;
+  std::weak_ptr<const std::vector<Value>> after = *inserted;
+  first = again = inserted = Status::Internal("released");
+  ASSERT_TRUE(db.Apply(WriteBatch().Create("G", storage::Relation(
+                                                     storage::Schema({0, 1}))))
+                  .ok());
+  EXPECT_TRUE(before.expired());
+  EXPECT_TRUE(after.expired());
+  auto empty = DistinctColumn(db, "G", 0);
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE((*empty)->empty());
 }
 
 TEST(SketchTest, SingleAtomIsExact) {

@@ -389,6 +389,43 @@ TEST(BoundLeapfrogTest, RepeatedRunsMatchOneShotJoins) {
   }
 }
 
+/// A pinned run told to stop at n results returns n once it has found
+/// that many, and the full count when it has fewer; the instance then
+/// runs on unaffected.
+TEST(BoundLeapfrogTest, StopAtCountCutsARunShort) {
+  storage::Catalog db;
+  ASSERT_TRUE(
+      db.Apply(WriteBatch().Create("G", dataset::CompleteGraph(8))).ok());
+  auto q = Query::Parse("G(a,b) G(b,c) G(a,c)");
+  ASSERT_TRUE(q.ok());
+  const query::AttributeOrder order = {0, 1, 2};
+  const std::vector<int> rank = query::RankOf(order, q->num_attrs());
+  std::vector<PreparedRelation> prepared;
+  for (const query::Atom& atom : q->atoms()) {
+    auto prep =
+        PrepareRelation(**db.Get(atom.relation), atom.schema.attrs(), rank);
+    ASSERT_TRUE(prep.ok());
+    prepared.push_back(std::move(prep.value()));
+  }
+  std::vector<JoinInput> inputs;
+  for (const PreparedRelation& p : prepared) {
+    inputs.push_back({&p.trie, p.attrs});
+  }
+  StatusOr<Leapfrog> bound = Leapfrog::Bind(inputs, order);
+  ASSERT_TRUE(bound.ok()) << bound.status();
+  // a = 0 closes 7 * 6 triangles.
+  JoinStats cut;
+  auto partial = bound->Run(nullptr, &cut, Value(0), 5);
+  ASSERT_TRUE(partial.ok()) << partial.status();
+  EXPECT_EQ(*partial, 5u);
+  EXPECT_EQ(cut.tuples_at_level.back(), 5u);
+  auto whole = bound->Run(nullptr, nullptr, Value(0), 1000);
+  ASSERT_TRUE(whole.ok());
+  EXPECT_EQ(*whole, 42u);
+  EXPECT_EQ(*bound->Run(nullptr, nullptr, Value(0), 42), 42u);
+  EXPECT_EQ(*bound->Run(nullptr, nullptr, Value(0)), 42u);
+}
+
 TEST(BoundLeapfrogTest, BindRejectsMisalignedInputsAndRunsNeedABind) {
   storage::Catalog db = SmallGraphDb(62, 20, 60);
   auto q = Query::Parse("G(a,b) G(b,c) G(a,c)");
