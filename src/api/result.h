@@ -99,9 +99,10 @@ class Result {
   uint64_t scalar_fallbacks() const { return run_.report.scalar_fallbacks; }
 
   /// Compressed-storage accounting: resident bytes of block-compressed
-  /// trie levels across the distinct indexes this run bound (0 when
-  /// the bound tries are all raw), and how many compressed blocks the
-  /// kernels decoded into scratch while joining.
+  /// trie levels across the distinct tries the servers joined (0 when
+  /// they are all raw, as every shard trie at 2+ servers is), and how
+  /// many compressed blocks the kernels decoded into scratch while
+  /// joining.
   uint64_t compressed_bytes() const { return run_.report.compressed_bytes; }
   uint64_t blocks_decoded() const { return run_.report.blocks_decoded; }
 

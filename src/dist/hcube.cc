@@ -8,7 +8,6 @@
 #include "common/hash.h"
 #include "common/rng.h"
 #include "common/timer.h"
-#include "storage/codec.h"
 #include "storage/write_batch.h"
 
 namespace adj::dist {
@@ -87,40 +86,6 @@ std::vector<storage::Relation> RouteInput(const storage::Relation& rel,
   return blocks;
 }
 
-/// Modeled wire bytes of shipping one non-empty fragment under
-/// `variant`: raw tuples (Push), the delta-compressed tuple block
-/// (Pull), or the trie block (Merge).
-uint64_t WireBytes(HCubeVariant variant, const storage::Relation& block,
-                   const storage::Trie& trie) {
-  if (block.empty()) return 0;
-  switch (variant) {
-    case HCubeVariant::kPush:
-      return block.SizeBytes();
-    case HCubeVariant::kPull:
-      return storage::EncodedRelationBlockSize(block);
-    case HCubeVariant::kMerge:
-      return storage::EncodedTrieBlockSize(trie);
-  }
-  return 0;
-}
-
-/// Single-server shuffle outcome without building anything: with one
-/// server every tuple of the (already canonical) input lands on that
-/// server exactly once, so the shard fragment *is* the prepared
-/// relation and its trie — alias them. Wire bytes are computed exactly
-/// as BuildSharded would, so the modeled traffic is unchanged.
-ShardedRelation AliasSingleServer(
-    std::shared_ptr<const storage::Relation> rel,
-    std::shared_ptr<const storage::Trie> trie, HCubeVariant variant) {
-  ShardedRelation sharded;
-  sharded.per_server.resize(1);
-  ShardedRelation::Fragment& frag = sharded.per_server[0];
-  frag.wire_bytes = WireBytes(variant, *rel, *trie);
-  frag.block = std::move(rel);
-  frag.trie = std::move(trie);
-  return sharded;
-}
-
 /// Routes, canonicalizes, and index-builds one input end to end —
 /// the expensive per-input work an IndexCache hit skips entirely.
 /// `build_seconds` (size num_servers) receives each receiver's timed
@@ -162,7 +127,7 @@ ShardedRelation BuildSharded(const storage::Relation& rel,
           break;
         }
         case HCubeVariant::kPull: {
-          // Sorted compressed blocks: verify order + build, no sort.
+          // Sorted blocks: verify order + build, no sort.
           WallTimer timer;
           trie = storage::Trie::Build(block);
           (*build_seconds)[size_t(s)] += verify_s + timer.Seconds();
@@ -177,7 +142,6 @@ ShardedRelation BuildSharded(const storage::Relation& rel,
         }
       }
     }
-    frag.wire_bytes = WireBytes(variant, block, trie);
     frag.block = std::make_shared<const storage::Relation>(std::move(block));
     frag.trie = std::make_shared<const storage::Trie>(std::move(trie));
   }
@@ -224,7 +188,6 @@ ShardedRelation PatchSharded(const ShardedRelation& prev,
       (*build_seconds)[size_t(s)] += timer.Seconds();
     }
     ShardedRelation::Fragment& frag = sharded.per_server[size_t(s)];
-    frag.wire_bytes = WireBytes(variant, block, trie);
     frag.block = std::make_shared<const storage::Relation>(std::move(block));
     frag.trie = std::make_shared<const storage::Trie>(std::move(trie));
   }
@@ -314,15 +277,21 @@ StatusOr<HCubeResult> HCubeShuffle(const std::vector<HCubeInput>& inputs,
   std::vector<double> build_s(size_t(num_servers), 0.0);
   for (size_t i = 0; i < inputs.size(); ++i) {
     const HCubeInput& in = inputs[i];
-    // Single-server alias: the fragment is the prepared index itself,
-    // so nothing is routed, sorted, or built — reported as a reuse of
-    // the pinned index (with mmap provenance if it was snapshot-loaded),
-    // never as a build. The aliased artifact still goes through the
-    // cache so the kPull/kMerge wire-byte encodings run once.
-    const bool alias_single =
-        num_servers == 1 && in.shared_rel != nullptr &&
-        in.shared_rel.get() == in.rel && in.trie != nullptr;
-    if (cache != nullptr && in.pin != nullptr) {
+    // Single-server alias: with one server every tuple of the (already
+    // canonical) input lands there exactly once, so the fragment is the
+    // prepared index itself. Nothing is routed, sorted, built or
+    // cached; it is reported as a reuse of the pinned index (with mmap
+    // provenance if it was snapshot-loaded), never as a build.
+    if (num_servers == 1 && in.shared_rel != nullptr &&
+        in.shared_rel.get() == in.rel && in.trie != nullptr) {
+      auto alias = std::make_shared<ShardedRelation>();
+      alias->per_server.push_back({in.shared_rel, in.trie});
+      sharded[i] = std::move(alias);
+      if (build_stats != nullptr) {
+        ++build_stats->hits;
+        if (in.trie->mmap_backed()) ++build_stats->mmap_hits;
+      }
+    } else if (cache != nullptr && in.pin != nullptr) {
       std::string spec = std::string("hcube:") + HCubeVariantName(variant) +
                          ":s=" + std::to_string(num_servers) +
                          ":p=" + share.ToString() + ":a=";
@@ -336,10 +305,7 @@ StatusOr<HCubeResult> HCubeShuffle(const std::vector<HCubeInput>& inputs,
               -> StatusOr<storage::IndexCache::BuildResult> {
             std::shared_ptr<ShardedRelation> built;
             bool patched = false;
-            if (alias_single) {
-              built = std::make_shared<ShardedRelation>(
-                  AliasSingleServer(in.shared_rel, in.trie, variant));
-            } else if (from != nullptr) {
+            if (from != nullptr) {
               // After a write: the input's predecessor fragments under
               // this spec move forward at delta cost.
               built = std::make_shared<ShardedRelation>(PatchSharded(
@@ -354,20 +320,13 @@ StatusOr<HCubeResult> HCubeShuffle(const std::vector<HCubeInput>& inputs,
             result.patched = patched;
             return result;
           },
-          alias_single ? nullptr : build_stats);
+          build_stats);
       if (!artifact.ok()) return artifact.status();
       sharded[i] = std::static_pointer_cast<const ShardedRelation>(*artifact);
-    } else if (alias_single) {
-      sharded[i] = std::make_shared<const ShardedRelation>(
-          AliasSingleServer(in.shared_rel, in.trie, variant));
     } else {
       sharded[i] = std::make_shared<const ShardedRelation>(BuildSharded(
           *in.rel, plans[i], num_servers, variant, i, &build_s));
       if (build_stats != nullptr) ++build_stats->builds;
-    }
-    if (alias_single && build_stats != nullptr) {
-      ++build_stats->hits;
-      if (in.trie->mmap_backed()) ++build_stats->mmap_hits;
     }
   }
 
@@ -387,8 +346,12 @@ StatusOr<HCubeResult> HCubeShuffle(const std::vector<HCubeInput>& inputs,
           sharded[i]->per_server[size_t(s)];
       result.comm.tuple_copies += frag.block->size();
       if (!frag.block->empty()) {
+        // A fragment ships in the form it is stored in: its rows
+        // (Push, Pull) or its trie arrays (Merge).
         ++result.comm.blocks;
-        result.comm.bytes += frag.wire_bytes;
+        result.comm.bytes += variant == HCubeVariant::kMerge
+                                 ? frag.trie->ResidentBytes()
+                                 : frag.block->SizeBytes();
       }
       shard.resident_bytes += frag.block->SizeBytes();
       shard.resident_bytes += frag.trie->ResidentBytes();

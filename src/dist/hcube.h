@@ -22,8 +22,9 @@ namespace adj::dist {
 /// `rel` (typically the storage::PreparedIndex the relation came
 /// from). When the shuffle runs against an IndexCache, inputs with a
 /// pin have their routed fragments and shard tries cached under
-/// (rel, share, variant, server count) and reused by later shuffles;
-/// inputs without one are shuffled inline, uncached.
+/// (rel, share, variant, server count) and reused by later shuffles
+/// (a single-server alias, below, needs no entry); inputs without one
+/// are shuffled inline, uncached.
 struct HCubeInput {
   const storage::Relation* rel = nullptr;
   std::vector<AttrId> attrs;
@@ -32,8 +33,8 @@ struct HCubeInput {
   /// trie built over it (a prepared index's rel/trie). When the
   /// cluster has one server they enable the alias fast path: the
   /// single shard is the prepared relation itself, so the shuffle
-  /// routes, sorts, and builds nothing, and reports an index reuse
-  /// (mmap-flagged when the trie is snapshot-loaded) instead of a
+  /// routes, sorts, builds and caches nothing, and reports an index
+  /// reuse (mmap-flagged when the trie is snapshot-loaded) instead of a
   /// build. Ignored unless `shared_rel.get() == rel`.
   std::shared_ptr<const storage::Relation> shared_rel;
   std::shared_ptr<const storage::Trie> trie;
@@ -49,17 +50,16 @@ struct HCubeInput {
 };
 
 /// One input's shuffle outcome in shareable form: per server the
-/// canonical block, the trie over it, and the modeled wire bytes of
-/// shipping that block under the variant it was built for. This is the
-/// artifact the IndexCache holds so repeat runs of a prepared query
-/// re-populate cluster shards at pointer-copy cost — the Merge-variant
-/// premise (pre-built tries are the unit you ship) applied across
-/// runs.
+/// canonical block and the trie over it. A fragment ships in the bytes
+/// it is stored in, so HCubeShuffle prices it from these two when it
+/// assembles the shards. This is the artifact the IndexCache holds so
+/// repeat runs of a prepared query re-populate cluster shards at
+/// pointer-copy cost — the Merge-variant premise (pre-built tries are
+/// the unit you ship) applied across runs.
 struct ShardedRelation {
   struct Fragment {
     std::shared_ptr<const storage::Relation> block;
     std::shared_ptr<const storage::Trie> trie;
-    uint64_t wire_bytes = 0;
   };
   std::vector<Fragment> per_server;
 
@@ -72,8 +72,7 @@ struct ShardedRelation {
 ///    receiver collects an unsorted stream and must sort before
 ///    building its tries (per-record network overhead, full local sort),
 ///  - kPull: senders group tuples into per-destination sorted blocks
-///    (delta-compressed) that receivers fetch; the local build skips
-///    the sort,
+///    that receivers fetch; the local build skips the sort,
 ///  - kMerge: senders pre-build and ship the trie arrays themselves
 ///    ("a trie ... can be implemented using three arrays"); receivers
 ///    adopt them with no local build work.
@@ -96,18 +95,20 @@ struct HCubeResult {
 /// to servers round-robin, and every shard ends up with the canonical
 /// sorted fragment + trie per atom. All variants produce identical
 /// shard contents and identical logical tuple movement; they differ in
-/// wire format (bytes), network pricing, and local build time.
+/// what a fragment ships as (its rows under Push and Pull, its trie
+/// arrays under Merge), network pricing, and local build time.
 ///
 /// Fails with kInvalidArgument on a malformed share vector and with
 /// kResourceExhausted when any shard's resident set exceeds the
 /// cluster's per-server memory budget.
 ///
-/// With `cache`, pinned inputs resolve their ShardedRelation through
-/// it: the first shuffle routes, sorts, and builds (charged to
-/// build_seconds as usual, ticked into `build_stats`), later shuffles
-/// reuse the resident artifacts (zero build seconds, a `build_stats`
-/// hit). Communication is *modeled* identically either way — the
-/// comm figures of a warm run match the cold one.
+/// With `cache`, pinned inputs other than a single-server alias
+/// resolve their ShardedRelation through it: the first shuffle routes,
+/// sorts, and builds (charged to build_seconds as usual, ticked into
+/// `build_stats`), later shuffles reuse the resident artifacts (zero
+/// build seconds, a `build_stats` hit). Communication is *modeled*
+/// identically either way — the comm figures of a warm run match the
+/// cold one.
 StatusOr<HCubeResult> HCubeShuffle(const std::vector<HCubeInput>& inputs,
                                    const ShareVector& share,
                                    HCubeVariant variant, Cluster* cluster,

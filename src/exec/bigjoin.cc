@@ -71,11 +71,7 @@ StatusOr<RunReport> RunBigJoin(const query::Query& q,
   StatusOr<std::vector<BoundAtom>> bound =
       BindAtomsForOrder(q, db, order, &index_stats);
   if (!bound.ok()) return bound.status();
-  report.index_builds = index_stats.builds;
-  report.index_reused = index_stats.hits;
-  report.index_mmap = index_stats.mmap_hits;
-  report.index_patched = index_stats.patched;
-  report.delta_rows_merged = index_stats.delta_rows_merged;
+  report.SetIndexStats(index_stats);
 
   const int n = static_cast<int>(order.size());
   const std::vector<int> rank = query::RankOf(order, q.num_attrs());

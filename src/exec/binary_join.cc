@@ -53,11 +53,7 @@ StatusOr<RunReport> RunBinaryJoin(const query::Query& q,
     bound.push_back(std::move(rel.value()));
     rels.push_back(bound.back().get());
   }
-  report.index_builds = bind_stats.builds;
-  report.index_reused = bind_stats.hits;
-  report.index_mmap = bind_stats.mmap_hits;
-  report.index_patched = bind_stats.patched;
-  report.delta_rows_merged = bind_stats.delta_rows_merged;
+  report.SetIndexStats(bind_stats);
 
   // Greedy join order: start from the smallest relation, repeatedly
   // join the smallest relation sharing an attribute with the current

@@ -199,11 +199,7 @@ StatusOr<HCubeJOutput> RunHCubeJ(const query::Query& q,
   StatusOr<dist::HCubeResult> shuffle =
       dist::HCubeShuffle(hinputs, share, params.variant, cluster,
                          &db.index_cache(), &index_stats);
-  out.report.index_builds = index_stats.builds;
-  out.report.index_reused = index_stats.hits;
-  out.report.index_mmap = index_stats.mmap_hits;
-  out.report.index_patched = index_stats.patched;
-  out.report.delta_rows_merged = index_stats.delta_rows_merged;
+  out.report.SetIndexStats(index_stats);
   if (!shuffle.ok()) {
     out.report.status = shuffle.status();
     return out;
@@ -387,13 +383,14 @@ StatusOr<HCubeJOutput> RunHCubeJ(const query::Query& q,
   out.report.scalar_fallbacks = all_stats.scalar_fallbacks;
   out.report.blocks_decoded = all_stats.blocks_decoded;
   {
-    // Resident compressed footprint of the distinct indexes this run
-    // bound (labeled binds alias one trie — count it once).
+    // Resident compressed footprint of the distinct tries the servers
+    // joined (labeled binds share one trie — count it once).
     std::set<const storage::Trie*> seen;
-    for (const BoundAtom& b : *bound) {
-      const storage::Trie* trie = b.index->trie.get();
-      if (trie != nullptr && seen.insert(trie).second) {
-        out.report.compressed_bytes += trie->CompressedBytes();
+    for (const int s : active) {
+      for (const auto& trie : cluster->shard(s).tries) {
+        if (seen.insert(trie.get()).second) {
+          out.report.compressed_bytes += trie->CompressedBytes();
+        }
       }
     }
   }

@@ -2,7 +2,17 @@
 
 #include <cstdio>
 
+#include "storage/index_cache.h"
+
 namespace adj::exec {
+
+void RunReport::SetIndexStats(const storage::IndexBuildStats& stats) {
+  index_builds = stats.builds;
+  index_reused = stats.hits;
+  index_mmap = stats.mmap_hits;
+  index_patched = stats.patched;
+  delta_rows_merged = stats.delta_rows_merged;
+}
 
 std::string RunReport::ToString() const {
   if (!status.ok()) {

@@ -8,6 +8,10 @@
 #include "common/status.h"
 #include "dist/comm_stats.h"
 
+namespace adj::storage {
+struct IndexBuildStats;
+}  // namespace adj::storage
+
 namespace adj::exec {
 
 /// Outcome of one distributed query execution, broken down the way the
@@ -45,9 +49,9 @@ struct RunReport {
   uint64_t scalar_fallbacks = 0;
 
   /// Compressed-storage accounting: resident bytes of block-compressed
-  /// trie levels across the distinct indexes this run bound (0 when
-  /// every bound trie is raw), and compressed blocks decoded into
-  /// kernel scratch while joining.
+  /// trie levels across the distinct tries the servers joined (0 when
+  /// every joined trie is raw, as every shard trie at 2+ servers is),
+  /// and compressed blocks decoded into kernel scratch while joining.
   uint64_t compressed_bytes = 0;
   uint64_t blocks_decoded = 0;
 
@@ -69,6 +73,9 @@ struct RunReport {
   /// costs delta-proportional merge work, not a rebuild".
   uint64_t index_patched = 0;
   uint64_t delta_rows_merged = 0;
+
+  /// Sets the five index-layer fields above from a run's bind stats.
+  void SetIndexStats(const storage::IndexBuildStats& stats);
 
   std::string plan_description;
 

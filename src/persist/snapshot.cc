@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "common/hash.h"
-#include "storage/codec.h"
 
 namespace adj::persist {
 
@@ -36,10 +35,31 @@ uint64_t Checksum(const uint8_t* data, size_t n) {
   return h;
 }
 
+void PutVarint(uint64_t v, std::vector<uint8_t>* out) {
+  while (v >= 0x80) {
+    out->push_back(static_cast<uint8_t>(v) | 0x80);
+    v >>= 7;
+  }
+  out->push_back(static_cast<uint8_t>(v));
+}
+
+StatusOr<uint64_t> GetVarint(const std::vector<uint8_t>& buf, size_t* pos) {
+  uint64_t v = 0;
+  int shift = 0;
+  while (*pos < buf.size()) {
+    const uint8_t byte = buf[(*pos)++];
+    v |= uint64_t(byte & 0x7F) << shift;
+    if ((byte & 0x80) == 0) return v;
+    shift += 7;
+    if (shift > 63) break;
+  }
+  return Status::OutOfRange("truncated varint");
+}
+
 namespace {
 
 // ---------------------------------------------------------------------------
-// Varint helpers over the shared storage codec.
+// Varint-based manifest helpers.
 
 uint64_t ZigZag(int64_t v) {
   return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
@@ -49,12 +69,12 @@ int64_t UnZigZag(uint64_t v) {
 }
 
 void PutString(const std::string& s, std::vector<uint8_t>* out) {
-  storage::PutVarint(s.size(), out);
+  PutVarint(s.size(), out);
   out->insert(out->end(), s.begin(), s.end());
 }
 
 StatusOr<std::string> GetString(const std::vector<uint8_t>& buf, size_t* pos) {
-  StatusOr<uint64_t> len = storage::GetVarint(buf, pos);
+  StatusOr<uint64_t> len = GetVarint(buf, pos);
   if (!len.ok()) return len.status();
   if (*len > buf.size() - *pos) {
     return Status::OutOfRange("snapshot manifest: string overruns buffer");
@@ -65,12 +85,12 @@ StatusOr<std::string> GetString(const std::vector<uint8_t>& buf, size_t* pos) {
 }
 
 void PutSchema(const Schema& schema, std::vector<uint8_t>* out) {
-  storage::PutVarint(schema.arity(), out);
-  for (AttrId a : schema.attrs()) storage::PutVarint(ZigZag(a), out);
+  PutVarint(schema.arity(), out);
+  for (AttrId a : schema.attrs()) PutVarint(ZigZag(a), out);
 }
 
 StatusOr<Schema> GetSchema(const std::vector<uint8_t>& buf, size_t* pos) {
-  StatusOr<uint64_t> arity = storage::GetVarint(buf, pos);
+  StatusOr<uint64_t> arity = GetVarint(buf, pos);
   if (!arity.ok()) return arity.status();
   if (*arity > 64) {
     return Status::InvalidArgument("snapshot manifest: implausible arity " +
@@ -79,7 +99,7 @@ StatusOr<Schema> GetSchema(const std::vector<uint8_t>& buf, size_t* pos) {
   std::vector<AttrId> attrs;
   attrs.reserve(*arity);
   for (uint64_t i = 0; i < *arity; ++i) {
-    StatusOr<uint64_t> a = storage::GetVarint(buf, pos);
+    StatusOr<uint64_t> a = GetVarint(buf, pos);
     if (!a.ok()) return a.status();
     attrs.push_back(static_cast<AttrId>(UnZigZag(*a)));
   }
@@ -150,11 +170,11 @@ class FileBuilder {
 
   Status Finish(uint32_t manifest_segment) {
     std::vector<uint8_t> toc_bytes;
-    storage::PutVarint(toc_.size(), &toc_bytes);
+    PutVarint(toc_.size(), &toc_bytes);
     for (const SegmentInfo& s : toc_) {
       toc_bytes.push_back(static_cast<uint8_t>(s.kind));
-      storage::PutVarint(s.offset, &toc_bytes);
-      storage::PutVarint(s.size, &toc_bytes);
+      PutVarint(s.offset, &toc_bytes);
+      PutVarint(s.size, &toc_bytes);
       PutFixed64(s.checksum, &toc_bytes);
     }
     const uint64_t toc_offset = offset_;
@@ -235,13 +255,13 @@ StatusOr<WriteStats> SnapshotWriter::Write(const storage::Catalog& catalog,
   }
 
   std::vector<uint8_t> manifest;
-  storage::PutVarint(phys.size(), &manifest);
+  PutVarint(phys.size(), &manifest);
   for (const auto& rel : phys) {
     PutSchema(rel->schema(), &manifest);
-    storage::PutVarint(rel->size(), &manifest);
+    PutVarint(rel->size(), &manifest);
     const uint32_t rows_seg =
         builder.AddSegment(SegmentKind::kRelationRows, BytesOf(rel->raw()));
-    storage::PutVarint(rows_seg, &manifest);
+    PutVarint(rows_seg, &manifest);
   }
   stats.relations = phys.size();
   // Per-name entry state: base + effective physical indexes, version,
@@ -249,17 +269,17 @@ StatusOr<WriteStats> SnapshotWriter::Write(const storage::Catalog& catalog,
   // bounded by the compaction threshold, so this stays a small varint
   // run inside the (checksummed) manifest rather than aligned
   // segments.
-  storage::PutVarint(entries.size(), &manifest);
+  PutVarint(entries.size(), &manifest);
   for (const NamedEntry& e : entries) {
     PutString(e.name, &manifest);
-    storage::PutVarint(phys_index.at(e.state.base.get()), &manifest);
-    storage::PutVarint(phys_index.at(e.state.effective.get()), &manifest);
-    storage::PutVarint(e.state.version, &manifest);
-    storage::PutVarint(e.state.deltas.size(), &manifest);
+    PutVarint(phys_index.at(e.state.base.get()), &manifest);
+    PutVarint(phys_index.at(e.state.effective.get()), &manifest);
+    PutVarint(e.state.version, &manifest);
+    PutVarint(e.state.deltas.size(), &manifest);
     for (const auto& delta : e.state.deltas) {
       for (const Relation* side : {&delta->inserts, &delta->deletes}) {
-        storage::PutVarint(side->size(), &manifest);
-        for (Value v : side->raw()) storage::PutVarint(v, &manifest);
+        PutVarint(side->size(), &manifest);
+        for (Value v : side->raw()) PutVarint(v, &manifest);
       }
     }
   }
@@ -277,23 +297,23 @@ StatusOr<WriteStats> SnapshotWriter::Write(const storage::Catalog& catalog,
   });
   std::sort(payloads.begin(), payloads.end(),
             [](const auto& a, const auto& b) { return a.lru_tick < b.lru_tick; });
-  storage::PutVarint(payloads.size(), &manifest);
+  PutVarint(payloads.size(), &manifest);
   for (const auto& p : payloads) {
-    storage::PutVarint(
+    PutVarint(
         phys_index.at(static_cast<const Relation*>(p.identity)), &manifest);
-    storage::PutVarint(p.perm.size(), &manifest);
-    for (int x : p.perm) storage::PutVarint(ZigZag(x), &manifest);
-    storage::PutVarint(p.rows->size(), &manifest);
+    PutVarint(p.perm.size(), &manifest);
+    for (int x : p.perm) PutVarint(ZigZag(x), &manifest);
+    PutVarint(p.rows->size(), &manifest);
     const uint32_t rows_seg =
         builder.AddSegment(SegmentKind::kPayloadRows, BytesOf(p.rows->raw()));
-    storage::PutVarint(rows_seg, &manifest);
-    storage::PutVarint(p.trie != nullptr ? 1 : 0, &manifest);
+    PutVarint(rows_seg, &manifest);
+    PutVarint(p.trie != nullptr ? 1 : 0, &manifest);
     if (p.trie != nullptr) {
       const Trie& t = *p.trie;
       for (int l = 0; l < t.arity(); ++l) {
         std::span<const uint32_t> kids = t.ChildBeginSpan(l);
-        storage::PutVarint(t.LevelSize(l), &manifest);
-        storage::PutVarint(t.level_compressed(l) ? 1 : 0, &manifest);
+        PutVarint(t.LevelSize(l), &manifest);
+        PutVarint(t.level_compressed(l) ? 1 : 0, &manifest);
         if (t.level_compressed(l)) {
           // The blockcodec arrays are the stored form — mapped in
           // place on open, no raw copy.
@@ -305,28 +325,28 @@ StatusOr<WriteStats> SnapshotWriter::Write(const storage::Catalog& catalog,
               SegmentKind::kTrieLevelStarts, BytesOf(cv.starts));
           const uint32_t bseg =
               builder.AddSegment(SegmentKind::kTrieLevelBytes, cv.bytes);
-          storage::PutVarint(mseg, &manifest);
-          storage::PutVarint(sseg, &manifest);
-          storage::PutVarint(bseg, &manifest);
+          PutVarint(mseg, &manifest);
+          PutVarint(sseg, &manifest);
+          PutVarint(bseg, &manifest);
           ++stats.compressed_levels;
         } else {
           std::span<const Value> vals = t.LevelSpan(l);
           const uint32_t vseg =
               builder.AddSegment(SegmentKind::kTrieValues, BytesOf(vals));
-          storage::PutVarint(vseg, &manifest);
+          PutVarint(vseg, &manifest);
         }
         if (l + 1 < t.arity()) {
           const uint32_t cseg =
               builder.AddSegment(SegmentKind::kTrieChild, BytesOf(kids));
-          storage::PutVarint(uint64_t{cseg} + 1, &manifest);
+          PutVarint(uint64_t{cseg} + 1, &manifest);
         } else {
-          storage::PutVarint(0, &manifest);
+          PutVarint(0, &manifest);
         }
       }
     }
-    storage::PutVarint(p.bindings.size(), &manifest);
+    PutVarint(p.bindings.size(), &manifest);
     for (const auto& b : p.bindings) {
-      storage::PutVarint(b.with_trie ? 1 : 0, &manifest);
+      PutVarint(b.with_trie ? 1 : 0, &manifest);
       PutSchema(b.schema, &manifest);
     }
   }
@@ -410,7 +430,7 @@ StatusOr<SnapshotReader> SnapshotReader::Open(const std::string& path) {
   {
     const std::vector<uint8_t> buf(toc_bytes->begin(), toc_bytes->end());
     size_t pos = 0;
-    StatusOr<uint64_t> count = storage::GetVarint(buf, &pos);
+    StatusOr<uint64_t> count = GetVarint(buf, &pos);
     if (!count.ok()) return count.status();
     reader.segments_.reserve(*count);
     for (uint64_t i = 0; i < *count; ++i) {
@@ -419,9 +439,9 @@ StatusOr<SnapshotReader> SnapshotReader::Open(const std::string& path) {
       }
       SegmentInfo info;
       info.kind = static_cast<SegmentKind>(buf[pos++]);
-      StatusOr<uint64_t> off = storage::GetVarint(buf, &pos);
+      StatusOr<uint64_t> off = GetVarint(buf, &pos);
       if (!off.ok()) return off.status();
-      StatusOr<uint64_t> size = storage::GetVarint(buf, &pos);
+      StatusOr<uint64_t> size = GetVarint(buf, &pos);
       if (!size.ok()) return size.status();
       if (pos + 8 > buf.size()) {
         return Status::OutOfRange("snapshot TOC truncated");
@@ -454,7 +474,7 @@ StatusOr<SnapshotReader> SnapshotReader::Open(const std::string& path) {
   size_t pos = 0;
   const uint64_t num_segments = reader.segments_.size();
   auto get = [&](const char* what) -> StatusOr<uint64_t> {
-    StatusOr<uint64_t> v = storage::GetVarint(buf, &pos);
+    StatusOr<uint64_t> v = GetVarint(buf, &pos);
     if (!v.ok()) {
       return Status::OutOfRange(std::string("snapshot manifest truncated at ") +
                                 what);

@@ -85,6 +85,12 @@ struct SegmentInfo {
 /// the length, tail bytes folded in) — order-sensitive, ~word speed.
 uint64_t Checksum(const uint8_t* data, size_t n);
 
+/// LEB128 unsigned varint, the integer encoding of the TOC and the
+/// manifest. GetVarint reads one at `*pos` and advances it; a value
+/// the buffer ends inside, or one longer than 64 bits, is OutOfRange.
+void PutVarint(uint64_t v, std::vector<uint8_t>* out);
+StatusOr<uint64_t> GetVarint(const std::vector<uint8_t>& buf, size_t* pos);
+
 /// What Write() put into the file, for logs and bench records.
 struct WriteStats {
   uint64_t relations = 0;  // distinct physical relations (bases + effectives)

@@ -196,6 +196,88 @@ TEST(HCubeTest, AccountingInvariants) {
   }
 }
 
+/// The bytes a shuffle onto `cluster` must charge: every non-empty
+/// fragment at its stored size, its rows under Push and Pull and its
+/// trie arrays under Merge.
+uint64_t StoredFragmentBytes(const Cluster& cluster, HCubeVariant variant) {
+  uint64_t bytes = 0;
+  for (int s = 0; s < cluster.num_servers(); ++s) {
+    const LocalShard& shard = cluster.shard(s);
+    for (size_t a = 0; a < shard.atoms.size(); ++a) {
+      if (shard.atoms[a]->empty()) continue;
+      bytes += variant == HCubeVariant::kMerge
+                   ? shard.tries[a]->ResidentBytes()
+                   : shard.atoms[a]->SizeBytes();
+    }
+  }
+  return bytes;
+}
+
+TEST(HCubeTest, FragmentsShipAtTheirStoredBytes) {
+  // Cold build, warm cache hit and post-write patch all charge the
+  // stored bytes, and so does the single-server alias, which ships the
+  // (block-compressed) bound index itself and adds no cache entry.
+  for (HCubeVariant variant : {HCubeVariant::kPush, HCubeVariant::kPull,
+                               HCubeVariant::kMerge}) {
+    SCOPED_TRACE(HCubeVariantName(variant));
+    Rng rng(4242);
+    storage::Catalog db;
+    ASSERT_TRUE(db.Apply(storage::WriteBatch().Create(
+        "G", dataset::ErdosRenyi(1500, 9000, rng))).ok());
+    std::shared_ptr<const storage::PreparedIndex> index;
+    auto shuffle = [&](int servers, storage::IndexBuildStats* stats) {
+      StatusOr<std::shared_ptr<const storage::PreparedIndex>> bound =
+          db.index_cache().GetPermuted(*db.GetShared("G"),
+                                       storage::Schema({0, 1}), {0, 1});
+      EXPECT_TRUE(bound.ok()) << bound.status();
+      if (!bound.ok()) return uint64_t{0};
+      index = *bound;
+      HCubeInput in = HCubeInput::Plain(index->rel.get(), {0, 1});
+      in.pin = index;
+      in.shared_rel = index->rel;
+      in.trie = index->trie;
+      ClusterConfig cfg;
+      cfg.num_servers = servers;
+      Cluster cluster(cfg);
+      StatusOr<HCubeResult> result =
+          HCubeShuffle({in}, ShareVector{{2, 2}}, variant, &cluster,
+                       &db.index_cache(), stats);
+      EXPECT_TRUE(result.ok()) << result.status();
+      if (!result.ok()) return uint64_t{0};
+      EXPECT_GT(result->comm.bytes, 0u);
+      EXPECT_EQ(result->comm.bytes, StoredFragmentBytes(cluster, variant));
+      return result->comm.bytes;
+    };
+
+    storage::IndexBuildStats cold;
+    const uint64_t cold_bytes = shuffle(4, &cold);
+    EXPECT_EQ(cold.builds, 1u);
+    storage::IndexBuildStats warm;
+    EXPECT_EQ(shuffle(4, &warm), cold_bytes);
+    EXPECT_EQ(warm.builds, 0u);
+    EXPECT_EQ(warm.hits, 1u);
+
+    storage::WriteBatch batch;
+    for (Value v = 0; v < 8; ++v) batch.Insert("G", {v, 2000 + v});
+    ASSERT_TRUE(db.Apply(batch).ok());
+    storage::IndexBuildStats patched;
+    EXPECT_GT(shuffle(4, &patched), cold_bytes);
+    EXPECT_EQ(patched.builds, 0u);
+    EXPECT_EQ(patched.patched, 1u);
+
+    const size_t entries = db.index_cache().size();
+    storage::IndexBuildStats alias;
+    const uint64_t alias_bytes = shuffle(1, &alias);
+    EXPECT_EQ(alias.builds, 0u);
+    EXPECT_EQ(alias.hits, 1u);
+    EXPECT_EQ(db.index_cache().size(), entries);
+    ASSERT_TRUE(index->trie->any_compressed());
+    EXPECT_EQ(alias_bytes, variant == HCubeVariant::kMerge
+                               ? index->trie->ResidentBytes()
+                               : index->rel->SizeBytes());
+  }
+}
+
 TEST(HCubeTest, TupleDupMatchesDupCubesWhenCubesFitServers) {
   // One relation, p=(2,2): every tuple of R(a) with dup = p_b = 2 goes
   // to exactly 2 servers when each cube has its own server.

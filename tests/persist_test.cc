@@ -1,9 +1,10 @@
-// Persistence subsystem tests: snapshot round trips (relations, name
-// aliases, warm index payloads, mapped tries), the corrupt-file error
-// paths (truncation, bit flips, wrong magic/version/endianness/value
-// width — every one a clean Status, never a crash; this file runs
-// under the ASan/UBSan CI leg), budget-bounded adoption, and the
-// randomized save→open→every-strategy equivalence property.
+// Persistence subsystem tests: the manifest's varint encoding, snapshot
+// round trips (relations, name aliases, warm index payloads, mapped
+// tries), the corrupt-file error paths (truncation, bit flips, wrong
+// magic/version/endianness/value width — every one a clean Status,
+// never a crash; this file runs under the ASan/UBSan CI leg),
+// budget-bounded adoption, and the randomized save→open→every-strategy
+// equivalence property.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -83,6 +84,30 @@ api::Database MakeWarmDatabase(uint64_t* count) {
   EXPECT_TRUE(r.ok()) << r.status();
   if (count != nullptr) *count = r.count();
   return db;
+}
+
+TEST(VarintTest, RoundTripBoundaries) {
+  std::vector<uint8_t> buf;
+  const uint64_t cases[] = {0,       1,          127,        128,
+                            16383,   16384,      0xFFFFFFFF, 1ull << 40,
+                            ~0ull};
+  for (uint64_t v : cases) persist::PutVarint(v, &buf);
+  size_t pos = 0;
+  for (uint64_t v : cases) {
+    StatusOr<uint64_t> got = persist::GetVarint(buf, &pos);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(*got, v);
+  }
+  EXPECT_EQ(pos, buf.size());
+}
+
+TEST(VarintTest, TruncatedFails) {
+  // The reader's guard against a manifest that ends inside a varint.
+  std::vector<uint8_t> buf;
+  persist::PutVarint(1ull << 40, &buf);
+  buf.pop_back();
+  size_t pos = 0;
+  EXPECT_FALSE(persist::GetVarint(buf, &pos).ok());
 }
 
 TEST(SnapshotRoundTrip, RelationsNamesAndAliases) {
