@@ -448,21 +448,14 @@ StatusOr<ExecutionContext> Engine::PrepareExecution(
   ctx.prepare_index_patched = pin_stats.patched;
   ctx.prepare_delta_rows =
       db_->index_cache().stats().delta_rows_merged - merged_before;
-  // Resident accounting dedups by physical payload: labeled binds of
-  // one permutation alias a single rows buffer + trie in the cache
-  // (e.g. the triangle query's three G bindings), so the footprint is
-  // counted once, not per labeling.
+  // Resident accounting counts each index once: the atoms of one
+  // (relation, column order) share it (e.g. the triangle query's three
+  // G atoms). Bytes() charges compressed trie levels at their encoded
+  // footprint.
   std::set<const void*> counted;
   for (exec::BoundAtom& b : *bound) {
-    if (b.index->rel != nullptr &&
-        counted.insert(b.index->rel->RowsIdentity()).second) {
-      ctx.pinned_index_bytes += b.index->rel->SizeBytes();
-    }
-    if (b.index->trie != nullptr &&
-        counted.insert(b.index->trie.get()).second) {
-      // ResidentBytes, not logical values: block-compressed levels pin
-      // only their encoded footprint.
-      ctx.pinned_index_bytes += b.index->trie->ResidentBytes();
+    if (counted.insert(b.index.get()).second) {
+      ctx.pinned_index_bytes += b.index->Bytes();
     }
     ctx.pinned_indexes.push_back(std::move(b.index));
   }

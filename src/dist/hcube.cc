@@ -251,6 +251,9 @@ StatusOr<HCubeResult> HCubeShuffle(const std::vector<HCubeInput>& inputs,
     if (int(in.attrs.size()) != in.rel->arity()) {
       return Status::InvalidArgument("HCubeInput attrs/arity mismatch");
     }
+    if (in.index != nullptr && in.index->rel.get() != in.rel) {
+      return Status::InvalidArgument("HCubeInput rows are not its index's");
+    }
     AttrMask bound_mask = 0;
     for (AttrId attr : in.attrs) {
       if (attr < 0 || size_t(attr) >= num_attrs) {
@@ -270,7 +273,7 @@ StatusOr<HCubeResult> HCubeShuffle(const std::vector<HCubeInput>& inputs,
   }
 
   // Resolve every input to its ShardedRelation — through the cache for
-  // pinned inputs (building exactly once, reusing later), inline
+  // indexed inputs (building exactly once, reusing later), inline
   // otherwise. Local build time is charged only when this call did the
   // building: a warm run's receivers genuinely do no index work.
   std::vector<std::shared_ptr<const ShardedRelation>> sharded(inputs.size());
@@ -280,18 +283,17 @@ StatusOr<HCubeResult> HCubeShuffle(const std::vector<HCubeInput>& inputs,
     // Single-server alias: with one server every tuple of the (already
     // canonical) input lands there exactly once, so the fragment is the
     // prepared index itself. Nothing is routed, sorted, built or
-    // cached; it is reported as a reuse of the pinned index (with mmap
+    // cached; it is reported as a reuse of the index (with mmap
     // provenance if it was snapshot-loaded), never as a build.
-    if (num_servers == 1 && in.shared_rel != nullptr &&
-        in.shared_rel.get() == in.rel && in.trie != nullptr) {
+    if (num_servers == 1 && in.index != nullptr) {
       auto alias = std::make_shared<ShardedRelation>();
-      alias->per_server.push_back({in.shared_rel, in.trie});
+      alias->per_server.push_back({in.index->rel, in.index->trie});
       sharded[i] = std::move(alias);
       if (build_stats != nullptr) {
         ++build_stats->hits;
-        if (in.trie->mmap_backed()) ++build_stats->mmap_hits;
+        if (in.index->trie->mmap_backed()) ++build_stats->mmap_hits;
       }
-    } else if (cache != nullptr && in.pin != nullptr) {
+    } else if (cache != nullptr && in.index != nullptr) {
       std::string spec = std::string("hcube:") + HCubeVariantName(variant) +
                          ":s=" + std::to_string(num_servers) +
                          ":p=" + share.ToString() + ":a=";
@@ -300,7 +302,7 @@ StatusOr<HCubeResult> HCubeShuffle(const std::vector<HCubeInput>& inputs,
         spec += std::to_string(in.attrs[c]);
       }
       StatusOr<std::shared_ptr<const void>> artifact = cache->GetOrBuild(
-          in.rel, spec, in.pin,
+          in.rel, spec, in.index,
           [&](const storage::IndexCache::PatchBase* from)
               -> StatusOr<storage::IndexCache::BuildResult> {
             std::shared_ptr<ShardedRelation> built;

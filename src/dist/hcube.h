@@ -18,33 +18,33 @@ namespace adj::dist {
 /// tuples plus the query attribute each column binds. Attribute ids
 /// index the share vector.
 ///
-/// `pin` is the cache anchor: a shared handle whose lifetime covers
-/// `rel` (typically the storage::PreparedIndex the relation came
-/// from). When the shuffle runs against an IndexCache, inputs with a
-/// pin have their routed fragments and shard tries cached under
-/// (rel, share, variant, server count) and reused by later shuffles
-/// (a single-server alias, below, needs no entry); inputs without one
-/// are shuffled inline, uncached.
+/// `index`, when set, is the cache-shared index `rel` is the rows of
+/// (null for Plain inputs). When the shuffle runs against an
+/// IndexCache, it anchors the input's routed fragments and shard tries,
+/// cached under (rows, share, variant, server count, attrs) and reused
+/// by later shuffles; inputs without one are shuffled inline,
+/// uncached. With one server it is the alias fast path: the single
+/// shard is the index itself, so the shuffle routes, sorts, builds and
+/// caches nothing, and reports an index reuse (mmap-flagged when the
+/// trie is snapshot-loaded) instead of a build.
 struct HCubeInput {
   const storage::Relation* rel = nullptr;
   std::vector<AttrId> attrs;
-  std::shared_ptr<const void> pin;
-  /// Optional shared handles to the *same* relation as `rel` and the
-  /// trie built over it (a prepared index's rel/trie). When the
-  /// cluster has one server they enable the alias fast path: the
-  /// single shard is the prepared relation itself, so the shuffle
-  /// routes, sorts, builds and caches nothing, and reports an index
-  /// reuse (mmap-flagged when the trie is snapshot-loaded) instead of a
-  /// build. Ignored unless `shared_rel.get() == rel`.
-  std::shared_ptr<const storage::Relation> shared_rel;
-  std::shared_ptr<const storage::Trie> trie;
+  std::shared_ptr<const storage::PreparedIndex> index;
 
-  /// An input over `rel` alone: no pin and no shared handles.
+  /// An input over `rel` alone.
   static HCubeInput Plain(const storage::Relation* rel,
                           std::vector<AttrId> attrs) {
     HCubeInput in;
     in.rel = rel;
     in.attrs = std::move(attrs);
+    return in;
+  }
+  /// An input over a cache-shared index's rows.
+  static HCubeInput Indexed(std::shared_ptr<const storage::PreparedIndex> index,
+                            std::vector<AttrId> attrs) {
+    HCubeInput in = Plain(index->rel.get(), std::move(attrs));
+    in.index = std::move(index);
     return in;
   }
 };
@@ -102,7 +102,7 @@ struct HCubeResult {
 /// kResourceExhausted when any shard's resident set exceeds the
 /// cluster's per-server memory budget.
 ///
-/// With `cache`, pinned inputs other than a single-server alias
+/// With `cache`, indexed inputs other than a single-server alias
 /// resolve their ShardedRelation through it: the first shuffle routes,
 /// sorts, and builds (charged to build_seconds as usual, ticked into
 /// `build_stats`), later shuffles reuse the resident artifacts (zero

@@ -21,11 +21,9 @@ StatusOr<std::shared_ptr<const storage::Relation>> BindAtom(
   StatusOr<std::shared_ptr<const storage::Relation>> base =
       db.GetShared(atom.relation);
   if (!base.ok()) return base.status();
-  StatusOr<wcoj::SharedBoundRelation> prepared =
-      wcoj::PrepareRelationRowsShared(std::move(*base), atom.schema.attrs(),
-                                      ascending_rank, db.index_cache(), stats);
-  if (!prepared.ok()) return prepared.status();
-  return std::move(prepared->rel);
+  return wcoj::PrepareRelationRowsShared(std::move(*base), atom.schema.attrs(),
+                                         ascending_rank, db.index_cache(),
+                                         stats);
 }
 
 }  // namespace

@@ -132,14 +132,11 @@ StatusOr<std::vector<BoundAtom>> BindAtomsForOrder(
             "attribute order does not cover all query attributes");
       }
     }
-    StatusOr<wcoj::SharedPreparedRelation> prepared =
+    StatusOr<BoundAtom> prepared =
         wcoj::PrepareRelationShared(std::move(*base), atom.schema.attrs(),
                                     rank, db.index_cache(), stats);
     if (!prepared.ok()) return prepared.status();
-    BoundAtom b;
-    b.index = std::move(prepared->index);
-    b.attrs = std::move(prepared->attrs);
-    bound.push_back(std::move(b));
+    bound.push_back(std::move(*prepared));
   }
   return bound;
 }
@@ -182,19 +179,13 @@ StatusOr<HCubeJOutput> RunHCubeJ(const query::Query& q,
   }
   out.share_used = share;
 
-  // One-round shuffle; each input's bound index doubles as the cache
-  // pin so shard fragments/tries are built once and reused by every
-  // later shuffle of the same input under the same configuration.
+  // One-round shuffle; each input's bound index anchors its shard
+  // fragments/tries in the cache, so they are built once and reused by
+  // every later shuffle of the same input under the same configuration.
   std::vector<dist::HCubeInput> hinputs;
   hinputs.reserve(bound->size());
   for (const BoundAtom& b : *bound) {
-    dist::HCubeInput in;
-    in.rel = &b.rel();
-    in.attrs = b.attrs;
-    in.pin = b.index;
-    in.shared_rel = b.index->rel;
-    in.trie = b.index->trie;
-    hinputs.push_back(std::move(in));
+    hinputs.push_back(dist::HCubeInput::Indexed(b.index, b.attrs));
   }
   StatusOr<dist::HCubeResult> shuffle =
       dist::HCubeShuffle(hinputs, share, params.variant, cluster,
@@ -384,7 +375,8 @@ StatusOr<HCubeJOutput> RunHCubeJ(const query::Query& q,
   out.report.blocks_decoded = all_stats.blocks_decoded;
   {
     // Resident compressed footprint of the distinct tries the servers
-    // joined (labeled binds share one trie — count it once).
+    // joined (atoms of one column order share one trie — count it
+    // once).
     std::set<const storage::Trie*> seen;
     for (const int s : active) {
       for (const auto& trie : cluster->shard(s).tries) {

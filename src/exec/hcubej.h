@@ -19,15 +19,9 @@ namespace adj::exec {
 /// specific attribute order: columns ascend by order rank and the rows
 /// are sorted/deduplicated — ready for HCube and trie building. The
 /// relation and trie are borrowed from the catalog's IndexCache
-/// (shared, never deep-copied), so repeated binds of one (relation,
-/// order) pair return pointer-identical artifacts.
-struct BoundAtom {
-  std::shared_ptr<const storage::PreparedIndex> index;
-  std::vector<AttrId> attrs;
-
-  const storage::Relation& rel() const { return *index->rel; }
-  const storage::Trie& trie() const { return *index->trie; }
-};
+/// (shared, never deep-copied), so every bind of one (relation, column
+/// order) returns the pointer-identical index, whatever its labels.
+using BoundAtom = wcoj::SharedPreparedRelation;
 
 /// Binds every atom of `q` against `db` and permutes it for `order`,
 /// resolving each bind through db.index_cache(). `stats`, when given,

@@ -81,7 +81,7 @@ double CalibrateBetaPrecomputed(uint64_t trie_tuples) {
     base = slot;
   }
   StatusOr<std::shared_ptr<const storage::PreparedIndex>> index =
-      cache.GetPermuted(base, base->schema(), IdentityPerm(*base));
+      cache.GetPermuted(base, IdentityPerm(*base));
   if (!index.ok()) return 1.0;
   return MeasureSeekRate(*(*index)->trie, 200000);
 }

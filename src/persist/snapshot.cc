@@ -344,11 +344,6 @@ StatusOr<WriteStats> SnapshotWriter::Write(const storage::Catalog& catalog,
         }
       }
     }
-    PutVarint(p.bindings.size(), &manifest);
-    for (const auto& b : p.bindings) {
-      PutVarint(b.with_trie ? 1 : 0, &manifest);
-      PutSchema(b.schema, &manifest);
-    }
   }
 
   const uint32_t manifest_seg =
@@ -665,20 +660,6 @@ StatusOr<SnapshotReader> SnapshotReader::Open(const std::string& path) {
         p.levels.push_back(level);
       }
     }
-    StatusOr<uint64_t> num_bindings = get("binding count");
-    if (!num_bindings.ok()) return num_bindings.status();
-    for (uint64_t j = 0; j < *num_bindings; ++j) {
-      StatusOr<uint64_t> with_trie = get("binding kind");
-      if (!with_trie.ok()) return with_trie.status();
-      StatusOr<Schema> schema = GetSchema(buf, &pos);
-      if (!schema.ok()) return schema.status();
-      if (schema->arity() != arity) {
-        return Status::InvalidArgument(
-            "snapshot binding schema arity mismatch");
-      }
-      p.bindings.push_back(storage::IndexCache::Binding{
-          std::move(*schema), *with_trie != 0});
-    }
     reader.payloads_.push_back(std::move(p));
   }
   return reader;
@@ -822,7 +803,7 @@ StatusOr<SnapshotReader::LoadStats> SnapshotReader::LoadInto(
     states.push_back(std::move(state));
   }
   struct Restored {
-    std::shared_ptr<const Relation> canon;
+    std::shared_ptr<const Relation> rows;
     std::shared_ptr<const Trie> trie;
   };
   std::vector<Restored> restored;
@@ -831,11 +812,11 @@ StatusOr<SnapshotReader::LoadStats> SnapshotReader::LoadInto(
     Restored r;
     StatusOr<std::span<const Value>> rows = SegmentValues(p.rows_seg);
     if (!rows.ok()) return rows.status();
-    r.canon = std::make_shared<const Relation>(
-        Relation::AliasSpan(phys[p.phys]->schema(), *rows, file_));
+    r.rows = std::make_shared<const Relation>(Relation::AliasSpan(
+        phys[p.phys]->schema().Permuted(p.perm), *rows, file_));
     // The join kernels' galloping seeks assume sorted-unique rows:
     // check once at the trust boundary rather than crashing later.
-    if (!r.canon->IsSortedUnique()) {
+    if (!r.rows->IsSortedUnique()) {
       return Status::InvalidArgument(
           "snapshot payload rows are not sorted-unique");
     }
@@ -843,12 +824,6 @@ StatusOr<SnapshotReader::LoadStats> SnapshotReader::LoadInto(
       StatusOr<Trie> mapped = MapTrie(p);
       if (!mapped.ok()) return mapped.status();
       r.trie = std::make_shared<const Trie>(std::move(*mapped));
-    }
-    for (const auto& b : p.bindings) {
-      if (b.with_trie && r.trie == nullptr) {
-        return Status::InvalidArgument(
-            "snapshot binding needs a trie the payload does not carry");
-      }
     }
     restored.push_back(std::move(r));
   }
@@ -868,9 +843,8 @@ StatusOr<SnapshotReader::LoadStats> SnapshotReader::LoadInto(
     // Handles are moved in: coldest-first order plus released handles
     // let a byte budget evict the cold tail during adoption itself.
     ADJ_RETURN_IF_ERROR(cache.AdoptPermuted(phys[p.phys], p.perm,
-                                            std::move(restored[i].canon),
-                                            std::move(restored[i].trie),
-                                            p.bindings));
+                                            std::move(restored[i].rows),
+                                            std::move(restored[i].trie)));
   }
   // The last adoption's entries were referenced by its own arguments
   // while the budget ran; re-enforce now that nothing external holds

@@ -16,7 +16,7 @@
 
 namespace adj::persist {
 
-/// Snapshot file format v4 — the build-once / mmap-many layer
+/// Snapshot file format v5 — the build-once / mmap-many layer
 /// (docs/PERSISTENCE.md has the full layout diagram):
 ///
 ///   header | segment* | manifest segment | TOC segment | footer
@@ -51,7 +51,7 @@ namespace adj::persist {
 inline constexpr char kMagic[8] = {'A', 'D', 'J', 'S', 'N', 'A', 'P', '1'};
 inline constexpr char kFooterMagic[8] = {'A', 'D', 'J', 'S', 'E', 'O', 'F',
                                          '1'};
-inline constexpr uint32_t kVersion = 4;
+inline constexpr uint32_t kVersion = 5;
 inline constexpr uint32_t kEndianTag = 0x01020304;
 inline constexpr uint64_t kHeaderSize = 32;
 inline constexpr uint64_t kFooterSize = 40;
@@ -171,7 +171,6 @@ class SnapshotReader {
     uint32_t rows_seg = 0;
     bool has_trie = false;
     std::vector<TrieLevelRef> levels;
-    std::vector<storage::IndexCache::Binding> bindings;
   };
 
   StatusOr<std::span<const uint8_t>> SegmentBytes(uint64_t index) const;

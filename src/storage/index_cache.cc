@@ -1,6 +1,7 @@
 #include "storage/index_cache.h"
 
 #include <algorithm>
+#include <optional>
 
 namespace adj::storage {
 
@@ -18,14 +19,28 @@ namespace {
 std::string RowsSpec(const std::vector<int>& perm) {
   return "rows:p=" + SpecJoin(perm);
 }
-std::string TrieSpec(const std::vector<int>& perm) {
-  return "trie:p=" + SpecJoin(perm);
+std::string IndexSpec(const std::vector<int>& perm) {
+  return "index:p=" + SpecJoin(perm);
 }
-std::string BindSpec(const std::vector<int>& perm, const Schema& schema) {
-  return "bind:p=" + SpecJoin(perm) + ";a=" + schema.ToString();
+
+/// `rel` with column i taken from column perm[i] (its schema permuted
+/// alike), sorted and deduplicated: the canonical rows of a base, or a
+/// write's delta side in their column order.
+Relation PermuteSorted(const Relation& rel, const std::vector<int>& perm) {
+  Relation out = rel.PermuteColumns(rel.schema().Permuted(perm), perm);
+  out.SortAndDedup();
+  return out;
 }
-std::string RelSpec(const std::vector<int>& perm, const Schema& schema) {
-  return "rel:p=" + SpecJoin(perm) + ";a=" + schema.ToString();
+
+Status CheckPermuted(const std::shared_ptr<const Relation>& base,
+                     const std::vector<int>& perm) {
+  if (base == nullptr) {
+    return Status::InvalidArgument("null base relation for index");
+  }
+  if (base->arity() != static_cast<int>(perm.size())) {
+    return Status::InvalidArgument("column order arity mismatch for index");
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -47,7 +62,8 @@ StatusOr<std::shared_ptr<const void>> IndexCache::GetOrBuild(
 StatusOr<std::shared_ptr<const void>> IndexCache::GetOrBuildTagged(
     const void* identity, const std::string& spec,
     std::shared_ptr<const void> pin, const BuildFn& build,
-    IndexBuildStats* stats, std::shared_ptr<const PermutedMeta> meta) {
+    IndexBuildStats* stats, std::shared_ptr<const PermutedMeta> meta,
+    bool* patched_out) {
   if (identity == nullptr || pin == nullptr) {
     return Status::InvalidArgument("index cache key needs a live source");
   }
@@ -64,6 +80,7 @@ StatusOr<std::shared_ptr<const void>> IndexCache::GetOrBuildTagged(
       continue;
     }
     entry->lru_tick = ++tick_;
+    if (patched_out != nullptr) *patched_out = entry->patched;
     if (entry->statistic) {
       ++stats_.statistic_hits;
       return entry->artifact;
@@ -102,6 +119,7 @@ StatusOr<std::shared_ptr<const void>> IndexCache::GetOrBuildTagged(
   entry->ready = true;
   entry->patched = built->patched;
   entry->statistic = built->statistic;
+  if (patched_out != nullptr) *patched_out = built->patched;
   if (built->statistic) {
     ++stats_.statistic_builds;
   } else if (built->patched) {
@@ -122,11 +140,9 @@ StatusOr<std::shared_ptr<const void>> IndexCache::GetOrBuildTagged(
   return entry->artifact;
 }
 
-StatusOr<std::shared_ptr<const Relation>> IndexCache::GetPermutedRows(
-    const std::shared_ptr<const Relation>& base, const Schema& schema,
-    const std::vector<int>& perm, bool* patched_out, uint64_t* merged_out) {
-  if (patched_out != nullptr) *patched_out = false;
-  if (merged_out != nullptr) *merged_out = 0;
+StatusOr<std::shared_ptr<const Relation>> IndexCache::PermutedRows(
+    const std::shared_ptr<const Relation>& base, const std::vector<int>& perm,
+    IndexBuildStats* stats, bool* patched_out) {
   PatchSource src;
   const bool have_patch =
       PeekPatchSource(base, perm, &src) && src.payload != nullptr;
@@ -137,10 +153,9 @@ StatusOr<std::shared_ptr<const Relation>> IndexCache::GetPermutedRows(
   StatusOr<std::shared_ptr<const void>> artifact = GetOrBuildTagged(
       base.get(), RowsSpec(perm), base,
       [&]() -> StatusOr<BuildResult> {
-        // The canonical physical payload: one permuted + sorted
-        // relation per (base, perm), whose buffer every labeling
-        // aliases. Snapshot adoption swaps in a mapped-span relation
-        // under the same key.
+        // The canonical rows: one permuted + sorted relation per
+        // (base, perm) under the base schema permuted alike. Snapshot
+        // adoption swaps in a mapped-span relation under the same key.
         if (have_patch) {
           // Merge-on-read: the relation gained a delta since the
           // recorded payload was built. Permute + sort only the delta
@@ -148,56 +163,57 @@ StatusOr<std::shared_ptr<const Relation>> IndexCache::GetPermutedRows(
           // the predecessor's canonical payload — O(delta · log n)
           // locate work plus run copies, never an O(n log n) re-sort
           // of the whole relation.
-          Relation ins = src.delta->inserts.PermuteColumns(schema, perm);
-          ins.SortAndDedup();
-          Relation del = src.delta->deletes.PermuteColumns(schema, perm);
-          del.SortAndDedup();
-          Relation merged(schema);
-          MergeDeltaRows(src.payload->raw(), schema.arity(), ins.raw(),
+          const Relation ins = PermuteSorted(src.delta->inserts, perm);
+          const Relation del = PermuteSorted(src.delta->deletes, perm);
+          Relation merged(src.payload->schema());
+          MergeDeltaRows(src.payload->raw(), base->arity(), ins.raw(),
                          del.raw(), &merged.mutable_raw());
-          auto canon = std::make_shared<const Relation>(std::move(merged));
+          auto rows = std::make_shared<const Relation>(std::move(merged));
           used_patch = true;
-          BuildResult result;
-          result.artifact = canon;
-          result.bytes = canon->SizeBytes();
+          BuildResult result{rows, rows->SizeBytes()};
           result.patched = true;
           result.delta_rows_merged = src.delta->rows();
           return result;
         }
-        Relation rel = base->PermuteColumns(schema, perm);
-        rel.SortAndDedup();
-        auto canon = std::make_shared<const Relation>(std::move(rel));
-        return BuildResult{canon, canon->SizeBytes()};
+        auto rows =
+            std::make_shared<const Relation>(PermuteSorted(*base, perm));
+        return BuildResult{rows, rows->SizeBytes()};
       },
-      /*stats=*/nullptr, std::move(meta));
+      stats, std::move(meta), patched_out);
   if (!artifact.ok()) return artifact.status();
-  if (used_patch) {
-    ConsumePatchSource(base.get(), perm, src.delta->rows());
-    if (merged_out != nullptr) *merged_out = src.delta->rows();
-  }
-  if (patched_out != nullptr) {
-    *patched_out = used_patch || EntryIsPatched(base.get(), RowsSpec(perm));
-  }
+  if (used_patch) ConsumePatchSource(base.get(), perm, src.delta->rows());
   return std::static_pointer_cast<const Relation>(*artifact);
 }
 
-StatusOr<std::shared_ptr<const Trie>> IndexCache::GetPermutedTrie(
-    const std::shared_ptr<const Relation>& base, const Schema& schema,
-    const std::vector<int>& perm) {
+StatusOr<std::shared_ptr<const Relation>> IndexCache::GetPermutedRows(
+    std::shared_ptr<const Relation> base, const std::vector<int>& perm,
+    IndexBuildStats* stats) {
+  ADJ_RETURN_IF_ERROR(CheckPermuted(base, perm));
+  return PermutedRows(base, perm, stats, /*patched_out=*/nullptr);
+}
+
+StatusOr<std::shared_ptr<const PreparedIndex>> IndexCache::GetPermuted(
+    std::shared_ptr<const Relation> base, const std::vector<int>& perm,
+    IndexBuildStats* stats) {
+  ADJ_RETURN_IF_ERROR(CheckPermuted(base, perm));
   auto meta = std::make_shared<PermutedMeta>();
-  meta->kind = PermutedMeta::kTrie;
+  meta->kind = PermutedMeta::kIndex;
   meta->perm = perm;
   StatusOr<std::shared_ptr<const void>> artifact = GetOrBuildTagged(
-      base.get(), TrieSpec(perm), base,
+      base.get(), IndexSpec(perm), base,
       [&]() -> StatusOr<BuildResult> {
         // Nested get: the build runs outside the cache lock, so
         // re-entering for the rows layer is safe (single-flight is per
-        // key). The trie's shape does not depend on the labeling; the
-        // schema is only borrowed for arity.
+        // key). The rows entry is charged the rows' bytes, this one
+        // only the trie's. A rows merge done here is charged to this
+        // call's consumer, who triggered it.
+        IndexBuildStats rows_stats;
         bool rows_patched = false;
         StatusOr<std::shared_ptr<const Relation>> rows =
-            GetPermutedRows(base, schema, perm, &rows_patched);
+            PermutedRows(base, perm, &rows_stats, &rows_patched);
         if (!rows.ok()) return rows.status();
+        auto index = std::make_shared<PreparedIndex>();
+        index->rel = std::move(*rows);
         // Trie-layer delta patch: when the predecessor's trie is still
         // on the patch record (the rows merge above clears only the
         // payload side), splice the permuted delta into its CSR arrays
@@ -206,80 +222,26 @@ StatusOr<std::shared_ptr<const Trie>> IndexCache::GetPermutedTrie(
         // payload ever disagree (they cannot under the single-writer
         // contract; the guard keeps a corrupt record from propagating).
         PatchSource src;
+        std::optional<Trie> trie;
         if (PeekPatchSource(base, perm, &src) && src.trie != nullptr &&
             src.delta != nullptr) {
-          Relation ins = src.delta->inserts.PermuteColumns(schema, perm);
-          ins.SortAndDedup();
-          Relation del = src.delta->deletes.PermuteColumns(schema, perm);
-          del.SortAndDedup();
-          Trie patched = Trie::PatchFrom(*src.trie, ins, del);
+          Trie patched = Trie::PatchFrom(
+              *src.trie, PermuteSorted(src.delta->inserts, perm),
+              PermuteSorted(src.delta->deletes, perm));
           ConsumeTriePatchSource(base.get(), perm);
-          if (patched.NumTuples() == (*rows)->size()) {
-            if (compress_tries()) {
-              patched = Trie::Compress(std::move(patched));
-            }
-            auto trie = std::make_shared<const Trie>(std::move(patched));
-            BuildResult result{trie, trie->ResidentBytes()};
-            result.patched = true;
-            return result;
+          if (patched.NumTuples() == index->rel->size()) {
+            trie = std::move(patched);
           }
         }
-        Trie built = Trie::Build(**rows);
-        if (compress_tries()) built = Trie::Compress(std::move(built));
-        auto trie = std::make_shared<const Trie>(std::move(built));
-        BuildResult result{trie, trie->ResidentBytes()};
-        // A trie over a patched payload counts as patched work, not a
+        // A trie over patched rows counts as patched work, not a
         // from-scratch index build: its input rows were delta-merged.
-        result.patched = rows_patched;
-        return result;
-      },
-      /*stats=*/nullptr, std::move(meta));
-  if (!artifact.ok()) return artifact.status();
-  return std::static_pointer_cast<const Trie>(*artifact);
-}
-
-StatusOr<std::shared_ptr<const PreparedIndex>> IndexCache::GetPermuted(
-    std::shared_ptr<const Relation> base, const Schema& schema,
-    const std::vector<int>& perm, IndexBuildStats* stats) {
-  if (base == nullptr) {
-    return Status::InvalidArgument("null base relation for index");
-  }
-  if (schema.arity() != static_cast<int>(perm.size()) ||
-      base->arity() != schema.arity()) {
-    return Status::InvalidArgument("column order arity mismatch for index");
-  }
-  const Relation* identity = base.get();
-  auto meta = std::make_shared<PermutedMeta>();
-  meta->kind = PermutedMeta::kBind;
-  meta->perm = perm;
-  meta->schema = schema;
-  // The physical payload depends only on the column permutation; the
-  // attribute labeling rides along because consumers — HashJoin above
-  // all — read rel->schema() for join semantics. The labeled entry is
-  // therefore an alias: its rows buffer and trie live in (and are
-  // charged to) the perm-keyed layers, shared across labelings.
-  StatusOr<std::shared_ptr<const void>> artifact = GetOrBuildTagged(
-      identity, BindSpec(perm, schema), base,
-      [&]() -> StatusOr<BuildResult> {
-        bool rows_patched = false;
-        uint64_t merged_now = 0;
-        StatusOr<std::shared_ptr<const Relation>> rows =
-            GetPermutedRows(base, schema, perm, &rows_patched, &merged_now);
-        if (!rows.ok()) return rows.status();
-        StatusOr<std::shared_ptr<const Trie>> trie =
-            GetPermutedTrie(base, schema, perm);
-        if (!trie.ok()) return trie.status();
-        auto index = std::make_shared<PreparedIndex>();
-        index->rel = std::make_shared<const Relation>(
-            Relation::AliasSpan(schema, (*rows)->raw(), *rows));
-        index->trie = std::move(*trie);
-        // Alias entry: payload bytes are charged once, on the
-        // perm-keyed rows/trie entries. Patched-ness is inherited from
-        // the payload; the merge is charged to the consumer on the
-        // labeled bind that actually triggered it.
-        BuildResult result{index, 0};
-        result.patched = rows_patched;
-        result.delta_rows_merged = merged_now;
+        const bool patched = trie.has_value() || rows_patched;
+        if (!trie.has_value()) trie = Trie::Build(*index->rel);
+        if (compress_tries()) trie = Trie::Compress(std::move(*trie));
+        index->trie = std::make_shared<const Trie>(std::move(*trie));
+        BuildResult result{index, index->trie->ResidentBytes()};
+        result.patched = patched;
+        result.delta_rows_merged = rows_stats.delta_rows_merged;
         return result;
       },
       stats, std::move(meta));
@@ -287,45 +249,10 @@ StatusOr<std::shared_ptr<const PreparedIndex>> IndexCache::GetPermuted(
   return std::static_pointer_cast<const PreparedIndex>(*artifact);
 }
 
-StatusOr<std::shared_ptr<const Relation>> IndexCache::GetPermutedRelation(
-    std::shared_ptr<const Relation> base, const Schema& schema,
-    const std::vector<int>& perm, IndexBuildStats* stats) {
-  if (base == nullptr) {
-    return Status::InvalidArgument("null base relation for index");
-  }
-  if (schema.arity() != static_cast<int>(perm.size()) ||
-      base->arity() != schema.arity()) {
-    return Status::InvalidArgument("column order arity mismatch for index");
-  }
-  const Relation* identity = base.get();
-  auto meta = std::make_shared<PermutedMeta>();
-  meta->kind = PermutedMeta::kRel;
-  meta->perm = perm;
-  meta->schema = schema;
-  StatusOr<std::shared_ptr<const void>> artifact = GetOrBuildTagged(
-      identity, RelSpec(perm, schema), base,
-      [&]() -> StatusOr<BuildResult> {
-        bool rows_patched = false;
-        uint64_t merged_now = 0;
-        StatusOr<std::shared_ptr<const Relation>> rows =
-            GetPermutedRows(base, schema, perm, &rows_patched, &merged_now);
-        if (!rows.ok()) return rows.status();
-        auto rel = std::make_shared<const Relation>(
-            Relation::AliasSpan(schema, (*rows)->raw(), *rows));
-        BuildResult result{rel, 0};
-        result.patched = rows_patched;
-        result.delta_rows_merged = merged_now;
-        return result;
-      },
-      stats, std::move(meta));
-  if (!artifact.ok()) return artifact.status();
-  return std::static_pointer_cast<const Relation>(*artifact);
-}
-
 std::vector<IndexCache::ExportedPayload> IndexCache::ExportPermutedIndexes()
     const {
   std::lock_guard<std::mutex> lock(mu_);
-  // Fold the layered entries back into (identity, perm) payload units.
+  // Fold the two layers back into (identity, perm) payload units.
   std::map<std::pair<const void*, std::string>, ExportedPayload> payloads;
   auto slot = [&](const void* identity,
                   const std::vector<int>& perm) -> ExportedPayload& {
@@ -341,28 +268,19 @@ std::vector<IndexCache::ExportedPayload> IndexCache::ExportPermutedIndexes()
     const PermutedMeta& meta = *entry->meta;
     ExportedPayload& p = slot(key.first, meta.perm);
     p.lru_tick = std::max(p.lru_tick, entry->lru_tick);
-    switch (meta.kind) {
-      case PermutedMeta::kRows:
-        p.rows = std::static_pointer_cast<const Relation>(entry->artifact);
-        break;
-      case PermutedMeta::kTrie:
-        p.trie = std::static_pointer_cast<const Trie>(entry->artifact);
-        break;
-      case PermutedMeta::kBind:
-        p.bindings.push_back(Binding{meta.schema, /*with_trie=*/true});
-        break;
-      case PermutedMeta::kRel:
-        p.bindings.push_back(Binding{meta.schema, /*with_trie=*/false});
-        break;
+    if (meta.kind == PermutedMeta::kRows) {
+      p.rows = std::static_pointer_cast<const Relation>(entry->artifact);
+    } else {
+      // An index holds the same rows the rows entry does.
+      const auto& index =
+          *static_cast<const PreparedIndex*>(entry->artifact.get());
+      p.rows = index.rel;
+      p.trie = index.trie;
     }
   }
   std::vector<ExportedPayload> out;
   out.reserve(payloads.size());
-  for (auto& [key, p] : payloads) {
-    // A bind/rel entry can outlive its physical layers only
-    // transiently (budget eviction); such orphans are not exportable.
-    if (p.rows != nullptr) out.push_back(std::move(p));
-  }
+  for (auto& [key, p] : payloads) out.push_back(std::move(p));
   return out;
 }
 
@@ -387,63 +305,31 @@ bool IndexCache::AdoptEntryLocked(const Key& key,
 
 Status IndexCache::AdoptPermuted(std::shared_ptr<const Relation> base,
                                  const std::vector<int>& perm,
-                                 std::shared_ptr<const Relation> canon,
-                                 std::shared_ptr<const Trie> trie,
-                                 const std::vector<Binding>& bindings) {
-  if (base == nullptr || canon == nullptr) {
-    return Status::InvalidArgument("adopt needs a base and a payload");
-  }
-  if (static_cast<int>(perm.size()) != base->arity() ||
-      canon->arity() != base->arity()) {
-    return Status::InvalidArgument("adopt: permutation arity mismatch");
-  }
-  for (const Binding& b : bindings) {
-    if (b.schema.arity() != base->arity()) {
-      return Status::InvalidArgument("adopt: binding arity mismatch");
-    }
-    if (b.with_trie && trie == nullptr) {
-      return Status::InvalidArgument("adopt: trie-backed binding needs a trie");
-    }
+                                 std::shared_ptr<const Relation> rows,
+                                 std::shared_ptr<const Trie> trie) {
+  ADJ_RETURN_IF_ERROR(CheckPermuted(base, perm));
+  if (rows == nullptr || !(rows->schema() == base->schema().Permuted(perm))) {
+    return Status::InvalidArgument("adopt: rows are not in the column order");
   }
   if (trie != nullptr &&
-      (trie->arity() != base->arity() || trie->NumTuples() != canon->size())) {
+      (trie->arity() != base->arity() || trie->NumTuples() != rows->size())) {
     return Status::InvalidArgument("adopt: trie does not match payload");
   }
   std::lock_guard<std::mutex> lock(mu_);
   const void* identity = base.get();
-  {
-    auto meta = std::make_shared<PermutedMeta>();
-    meta->kind = PermutedMeta::kRows;
-    meta->perm = perm;
-    AdoptEntryLocked({identity, RowsSpec(perm)}, base, canon,
-                     canon->SizeBytes(), std::move(meta));
-  }
+  auto meta = std::make_shared<PermutedMeta>();
+  meta->kind = PermutedMeta::kRows;
+  meta->perm = perm;
+  AdoptEntryLocked({identity, RowsSpec(perm)}, base, rows, rows->SizeBytes(),
+                   meta);
   if (trie != nullptr) {
-    auto meta = std::make_shared<PermutedMeta>();
-    meta->kind = PermutedMeta::kTrie;
-    meta->perm = perm;
-    AdoptEntryLocked({identity, TrieSpec(perm)}, base, trie,
-                     trie->ResidentBytes(), std::move(meta));
-  }
-  for (const Binding& b : bindings) {
-    auto meta = std::make_shared<PermutedMeta>();
-    meta->perm = perm;
-    meta->schema = b.schema;
-    if (b.with_trie) {
-      meta->kind = PermutedMeta::kBind;
-      auto index = std::make_shared<PreparedIndex>();
-      index->rel = std::make_shared<const Relation>(
-          Relation::AliasSpan(b.schema, canon->raw(), canon));
-      index->trie = trie;
-      AdoptEntryLocked({identity, BindSpec(perm, b.schema)}, base, index,
-                       /*bytes=*/0, std::move(meta));
-    } else {
-      meta->kind = PermutedMeta::kRel;
-      auto rel = std::make_shared<const Relation>(
-          Relation::AliasSpan(b.schema, canon->raw(), canon));
-      AdoptEntryLocked({identity, RelSpec(perm, b.schema)}, base, rel,
-                       /*bytes=*/0, std::move(meta));
-    }
+    auto index_meta = std::make_shared<PermutedMeta>(*meta);
+    index_meta->kind = PermutedMeta::kIndex;
+    const uint64_t bytes = trie->ResidentBytes();
+    auto index = std::make_shared<PreparedIndex>(
+        PreparedIndex{std::move(rows), std::move(trie)});
+    AdoptEntryLocked({identity, IndexSpec(perm)}, base, std::move(index),
+                     bytes, std::move(index_meta));
   }
   EnforceBudgetLocked();
   return Status::OK();
@@ -474,38 +360,38 @@ void IndexCache::LinkDelta(const std::shared_ptr<const Relation>& prev,
     patches_.erase(pit);
   }
   // Fresh sources from every layer of `prev` currently resident —
-  // canonical payload, trie, and the artifacts derived from each bound
-  // index (found under the index's own identity). A permutation with
-  // any fresh layer supersedes its inherited source: one delta, not
-  // two.
+  // canonical rows, trie, and the artifacts derived from the index
+  // (found under its rows' identity). A permutation with any fresh
+  // layer supersedes its inherited source: one delta, not two.
+  // `prev`'s statistics are dropped, not recorded.
   std::map<std::string, PatchSource> fresh;
   for (auto it = entries_.lower_bound(Key{prev.get(), std::string()});
-       it != entries_.end() && it->first.first == prev.get(); ++it) {
+       it != entries_.end() && it->first.first == prev.get();) {
     const Entry& entry = *it->second;
-    if (!entry.ready || entry.meta == nullptr) continue;
-    PatchSource& src = fresh[SpecJoin(entry.meta->perm)];
-    switch (entry.meta->kind) {
-      case PermutedMeta::kRows:
+    if (entry.ready && entry.statistic) {
+      stats_.resident_bytes -= entry.bytes;
+      ++stats_.evictions;
+      it = entries_.erase(it);
+      continue;
+    }
+    if (entry.ready && entry.meta != nullptr) {
+      PatchSource& src = fresh[SpecJoin(entry.meta->perm)];
+      if (entry.meta->kind == PermutedMeta::kRows) {
         src.payload = std::static_pointer_cast<const Relation>(entry.artifact);
-        break;
-      case PermutedMeta::kTrie:
-        src.trie = std::static_pointer_cast<const Trie>(entry.artifact);
-        break;
-      case PermutedMeta::kBind: {
-        const void* bound =
-            static_cast<const PreparedIndex*>(entry.artifact.get())->rel.get();
-        for (auto d = entries_.lower_bound(Key{bound, std::string()});
-             d != entries_.end() && d->first.first == bound; ++d) {
-          if (d->second->ready && d->second->meta == nullptr) {
-            src.derived[it->first.second][d->first.second] =
-                d->second->artifact;
+      } else {
+        const auto& index =
+            *static_cast<const PreparedIndex*>(entry.artifact.get());
+        src.trie = index.trie;
+        const void* rows = index.rel.get();
+        for (auto d = entries_.lower_bound(Key{rows, std::string()});
+             d != entries_.end() && d->first.first == rows; ++d) {
+          if (d->second->ready) {
+            src.derived[d->first.second] = d->second->artifact;
           }
         }
-        break;
       }
-      case PermutedMeta::kRel:
-        break;
     }
+    ++it;
   }
   for (auto& [perm, src] : fresh) {
     if (src.Drained()) continue;
@@ -556,51 +442,43 @@ void IndexCache::ConsumeTriePatchSource(const void* identity,
 bool IndexCache::TakeDerivedPatch(const void* pin, const std::string& spec,
                                   PatchBase* out) {
   std::shared_ptr<const DeltaBatch> delta;
-  Schema schema;
   std::vector<int> perm;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (patches_.empty()) return false;  // no write since the last binds
-    // The bound index `pin` is the artifact of a bind entry; its key
-    // names the relation (whose patch record holds the predecessors)
-    // and the labeling the derived artifacts were recorded under.
-    auto bind = entries_.begin();
-    for (; bind != entries_.end(); ++bind) {
-      const Entry& e = *bind->second;
+    // The index `pin` is the artifact of an index entry, whose key
+    // names the relation (whose patch record holds the predecessors).
+    auto index = entries_.begin();
+    for (; index != entries_.end(); ++index) {
+      const Entry& e = *index->second;
       if (e.ready && e.artifact.get() == pin && e.meta != nullptr &&
-          e.meta->kind == PermutedMeta::kBind) {
+          e.meta->kind == PermutedMeta::kIndex) {
         break;
       }
     }
-    if (bind == entries_.end()) return false;
-    auto it = patches_.find(bind->first.first);
-    // ABA guard, as in PeekPatchSource: the bind entry's pin is its
+    if (index == entries_.end()) return false;
+    auto it = patches_.find(index->first.first);
+    // ABA guard, as in PeekPatchSource: the index entry's pin is its
     // relation.
     if (it == patches_.end() ||
-        it->second.child.lock() != bind->second->pin) {
+        it->second.child.lock() != index->second->pin) {
       return false;
     }
-    auto pit = it->second.by_perm.find(SpecJoin(bind->second->meta->perm));
+    perm = index->second->meta->perm;
+    auto pit = it->second.by_perm.find(SpecJoin(perm));
     if (pit == it->second.by_perm.end()) return false;
     PatchSource& src = pit->second;
-    auto dit = src.derived.find(bind->first.second);
+    auto dit = src.derived.find(spec);
     if (dit == src.derived.end()) return false;
-    auto sit = dit->second.find(spec);
-    if (sit == dit->second.end()) return false;
-    out->artifact = std::move(sit->second);
+    out->artifact = std::move(dit->second);
     delta = src.delta;
-    schema = bind->second->meta->schema;
-    perm = bind->second->meta->perm;
-    dit->second.erase(sit);
-    if (dit->second.empty()) src.derived.erase(dit);
+    src.derived.erase(dit);
     EraseIfDrainedLocked(it, pit);
   }
-  // Permute the net delta into the bound index's column order outside
-  // the lock: a write's few rows, sorted once per derived artifact.
-  out->delta.inserts = delta->inserts.PermuteColumns(schema, perm);
-  out->delta.inserts.SortAndDedup();
-  out->delta.deletes = delta->deletes.PermuteColumns(schema, perm);
-  out->delta.deletes.SortAndDedup();
+  // Permute the net delta into the index's column order outside the
+  // lock: a write's few rows, sorted once per derived artifact.
+  out->delta.inserts = PermuteSorted(delta->inserts, perm);
+  out->delta.deletes = PermuteSorted(delta->deletes, perm);
   return true;
 }
 
@@ -609,13 +487,6 @@ void IndexCache::EraseIfDrainedLocked(
     std::map<std::string, PatchSource>::iterator pit) {
   if (pit->second.Drained()) it->second.by_perm.erase(pit);
   if (it->second.by_perm.empty()) patches_.erase(it);
-}
-
-bool IndexCache::EntryIsPatched(const void* identity,
-                                const std::string& spec) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(Key{identity, spec});
-  return it != entries_.end() && it->second->ready && it->second->patched;
 }
 
 bool IndexCache::SweepOnceLocked() {

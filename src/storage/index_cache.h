@@ -20,13 +20,16 @@
 namespace adj::storage {
 
 /// A relation re-columned for one column order and indexed: the
-/// permuted, sorted, duplicate-free relation plus the trie built over
-/// it. This is the immutable artifact every join consumer *borrows*
-/// from the IndexCache instead of rebuilding per run — the way
-/// RDF-TDAA persists its trie-shaped indexes across queries rather
-/// than reconstructing them per lookup.
+/// canonical rows (the base's columns permuted, sorted and
+/// deduplicated, under the base schema permuted alike) plus the trie
+/// built over them. It carries no attribute labels: every atom that
+/// binds this (relation, column order) shares it by pointer and brings
+/// its own attribute list. This is the immutable artifact every join
+/// consumer *borrows* from the IndexCache instead of rebuilding per
+/// run — the way RDF-TDAA persists its trie-shaped indexes across
+/// queries rather than reconstructing them per lookup.
 struct PreparedIndex {
-  std::shared_ptr<const Relation> rel;  // permuted + SortAndDedup'ed
+  std::shared_ptr<const Relation> rel;  // canonical permuted rows
   std::shared_ptr<const Trie> trie;     // built over `rel`
 
   /// Resident payload: tuple data plus the trie's arrays (compressed
@@ -58,11 +61,14 @@ struct IndexBuildStats {
 /// result by pointer; tries are never deep-copied.
 ///
 /// Key: `identity` is the address of the physical source object (a
-/// Relation for bound-atom indexes, a bound relation for HCube shard
-/// indexes); `spec` encodes everything else the build depends on
-/// (column order, share vector, variant, server count). Relations
-/// reachable through a catalog are immutable, so an entry never goes
-/// *stale* — it only becomes garbage once its source is unreachable.
+/// base Relation for bound-atom indexes, an index's canonical rows for
+/// HCube shard artifacts); `spec` encodes everything else the build
+/// depends on (column order, share vector, variant, server count, the
+/// attributes a shard routes by). No bound-atom key carries attribute
+/// labels: a (relation, column order) is one rows entry and one index
+/// entry, whatever atoms bind it. Relations reachable through a catalog
+/// are immutable, so an entry never goes *stale* — it only becomes
+/// garbage once its source is unreachable.
 ///
 /// Lifetime / invalidation: every entry carries a `pin`, a shared
 /// handle to its source. Sweep() — called by Catalog after every
@@ -86,9 +92,9 @@ struct IndexBuildStats {
 /// see serve::PreparedQueryCache.)
 ///
 /// Persistence: the permuted layers can round-trip through a snapshot.
-/// ExportPermutedIndexes() hands the writer every perm-keyed payload
-/// with its labelings; AdoptPermuted() re-seats payloads whose arrays
-/// view an mmap'ed snapshot, flagged so hits report as mmap-loaded.
+/// ExportPermutedIndexes() hands the writer every (relation, column
+/// order) payload; AdoptPermuted() re-seats payloads whose arrays view
+/// an mmap'ed snapshot, flagged so hits report as mmap-loaded.
 class IndexCache {
  public:
   struct Stats {
@@ -174,66 +180,55 @@ class IndexCache {
       std::shared_ptr<const void> pin, const PatchFn& build,
       IndexBuildStats* stats = nullptr);
 
-  /// The tentpole key — (relation identity, column order): `base`
-  /// with column i of the result taken from column perm[i], under
-  /// `schema`, sorted, deduplicated, and trie-indexed. Pointer-equal
-  /// results for repeated requests.
-  ///
-  /// Layered internally: the physical payload (permuted sorted rows,
-  /// and the trie over them) is keyed by the permutation alone and
-  /// shared across every attribute labeling; the labeled artifact is a
-  /// near-zero-cost alias over it. Ten labelings of one permutation
-  /// cost one rows buffer and one trie, not ten.
+  /// The bound-atom index for (relation identity, column order):
+  /// `base` with column i of the result taken from column perm[i],
+  /// sorted, deduplicated, and trie-indexed. One entry per (base,
+  /// perm), shared by every atom that binds that column order whatever
+  /// its attribute labels — pointer-equal results for repeated
+  /// requests. Its rows are the GetPermutedRows entry: a trie-less bind
+  /// and a trie-backed one of the same order share one rows buffer.
+  /// `stats`, when given, receives one hit, build or patch tick.
   StatusOr<std::shared_ptr<const PreparedIndex>> GetPermuted(
-      std::shared_ptr<const Relation> base, const Schema& schema,
-      const std::vector<int>& perm, IndexBuildStats* stats = nullptr);
+      std::shared_ptr<const Relation> base, const std::vector<int>& perm,
+      IndexBuildStats* stats = nullptr);
 
-  /// Trie-less variant for hash-join-only binds: the permuted, sorted,
-  /// deduplicated relation under `schema`, sharing its row payload with
-  /// other labelings of the same permutation *and* with GetPermuted's
-  /// trie-backed artifacts — but never paying for a trie build.
-  StatusOr<std::shared_ptr<const Relation>> GetPermutedRelation(
-      std::shared_ptr<const Relation> base, const Schema& schema,
-      const std::vector<int>& perm, IndexBuildStats* stats = nullptr);
+  /// Trie-less get for hash-join-only binds: the canonical permuted,
+  /// sorted, deduplicated rows of (base, perm) — the rows GetPermuted's
+  /// index holds — without ever paying for a trie build. Their schema
+  /// is the base schema permuted by `perm`; a consumer that joins on
+  /// attribute labels aliases them under its own. `stats`, when given,
+  /// receives one hit, build or patch tick.
+  StatusOr<std::shared_ptr<const Relation>> GetPermutedRows(
+      std::shared_ptr<const Relation> base, const std::vector<int>& perm,
+      IndexBuildStats* stats = nullptr);
 
-  /// One attribute labeling recorded for a persisted payload: the
-  /// schema it was bound under, and whether the binding was
-  /// trie-backed (GetPermuted) or trie-less (GetPermutedRelation).
-  struct Binding {
-    Schema schema;
-    bool with_trie = true;
-  };
-
-  /// One perm-keyed physical payload, with every labeling bound over
-  /// it — the unit the snapshot writer serializes.
+  /// One (relation, column order) payload — the unit the snapshot
+  /// writer serializes.
   struct ExportedPayload {
     const void* identity = nullptr;       // base relation address
     std::vector<int> perm;
     std::shared_ptr<const Relation> rows;  // canonical permuted relation
     std::shared_ptr<const Trie> trie;      // null if never trie-bound
-    std::vector<Binding> bindings;
-    uint64_t lru_tick = 0;  // hottest layer tick, for restore ordering
+    uint64_t lru_tick = 0;  // hotter layer's tick, for restore ordering
   };
 
-  /// Snapshot of every resident permuted-index payload (rows / trie /
-  /// bind layers folded back together). Artifacts are shared, not
-  /// copied; identities are only meaningful to a caller that can map
-  /// them back to relations it holds (the catalog snapshot writer).
+  /// Snapshot of every resident permuted payload (rows and index
+  /// layers folded together). Artifacts are shared, not copied;
+  /// identities are only meaningful to a caller that can map them back
+  /// to relations it holds (the catalog snapshot writer).
   std::vector<ExportedPayload> ExportPermutedIndexes() const;
 
-  /// Re-seats one permuted payload loaded from a snapshot: `canon`
-  /// (sorted rows viewing mapped memory) and `trie` (FromMapped; may
-  /// be null if no binding needs it) are installed under the same keys
-  /// GetPermuted/GetPermutedRelation would build, flagged mmap so hits
-  /// report as mmap-loaded, plus one aliased entry per binding.
+  /// Re-seats one permuted payload loaded from a snapshot: `rows`
+  /// (sorted, viewing mapped memory) under the GetPermutedRows key
+  /// and, when `trie` (FromMapped) is given, the index over them under
+  /// the GetPermuted key — flagged mmap so hits report as mmap-loaded.
   /// Existing entries win (adoption never clobbers); the byte budget
   /// applies as usual. `base` must be the relation the payload was
   /// exported from — in the restored catalog, not the saved one.
   Status AdoptPermuted(std::shared_ptr<const Relation> base,
                        const std::vector<int>& perm,
-                       std::shared_ptr<const Relation> canon,
-                       std::shared_ptr<const Trie> trie,
-                       const std::vector<Binding>& bindings);
+                       std::shared_ptr<const Relation> rows,
+                       std::shared_ptr<const Trie> trie);
 
   /// Registers a delta edge from relation version `prev` to its
   /// successor `next` (the catalog calls this on every tuple write,
@@ -251,7 +246,9 @@ class IndexCache {
   /// artifacts themselves, so they survive sweeps/evictions of
   /// `prev`'s entries and compaction of the chain; they die when
   /// consumed, superseded by a newer write, or when `next` itself
-  /// becomes unreachable.
+  /// becomes unreachable. `prev`'s planner statistics are dropped
+  /// here: they are never patched, and planning reads only current
+  /// versions.
   void LinkDelta(const std::shared_ptr<const Relation>& prev,
                  const std::shared_ptr<const Relation>& next,
                  std::shared_ptr<const DeltaBatch> delta);
@@ -282,10 +279,9 @@ class IndexCache {
   /// Structured key for permuted-layer entries, kept so the snapshot
   /// writer can enumerate payloads without parsing spec strings.
   struct PermutedMeta {
-    enum Kind { kRows, kTrie, kBind, kRel };
+    enum Kind { kRows, kIndex };
     Kind kind = kRows;
     std::vector<int> perm;
-    Schema schema;  // labeled layers only (kBind/kRel)
   };
 
   struct Entry {
@@ -303,19 +299,17 @@ class IndexCache {
 
   /// One patchable predecessor for (relation, perm): the canonical
   /// permuted rows of an older version of the relation — and the trie
-  /// over them, and the artifacts derived from its bound indexes, when
-  /// they were resident — plus the net delta separating the two
-  /// versions. Every layer is consumed independently (each patches
-  /// once); a cleared member means that layer already patched or was
-  /// never resident.
+  /// over them, and the artifacts derived from its index, when they
+  /// were resident — plus the net delta separating the two versions.
+  /// Every layer is consumed independently (each patches once); a
+  /// cleared member means that layer already patched or was never
+  /// resident.
   struct PatchSource {
     std::shared_ptr<const Relation> payload;
     std::shared_ptr<const DeltaBatch> delta;
     std::shared_ptr<const Trie> trie;
-    /// Derived artifacts, by the bind spec of the index they were
-    /// derived from, then by their own spec.
-    std::map<std::string, std::map<std::string, std::shared_ptr<const void>>>
-        derived;
+    /// Artifacts derived from the index, by their own spec.
+    std::map<std::string, std::shared_ptr<const void>> derived;
 
     bool Drained() const {
       return payload == nullptr && trie == nullptr && derived.empty();
@@ -329,29 +323,14 @@ class IndexCache {
     std::map<std::string, PatchSource> by_perm;
   };
 
-  /// Physical layers under GetPermuted/GetPermutedRelation: the
-  /// canonical permuted relation (sorted row payload) and the trie
-  /// over it, keyed by the permutation alone (no attribute labeling).
-  /// These tick cache-wide stats but not the consumer's
-  /// IndexBuildStats — the labeled top-level artifact accounts for the
-  /// consumer-visible hit/build.
-  /// `patched_out`, when given, reports whether the returned payload
-  /// is delta-patched (set on hits too — labeled layers inherit the
-  /// flag); `merged_out` reports delta rows merged *by this call*
-  /// (zero on a hit), so the triggering labeled bind charges the merge
-  /// to its consumer exactly once.
-  StatusOr<std::shared_ptr<const Relation>> GetPermutedRows(
-      const std::shared_ptr<const Relation>& base, const Schema& schema,
-      const std::vector<int>& perm, bool* patched_out = nullptr,
-      uint64_t* merged_out = nullptr);
-  StatusOr<std::shared_ptr<const Trie>> GetPermutedTrie(
-      const std::shared_ptr<const Relation>& base, const Schema& schema,
-      const std::vector<int>& perm);
-
-  /// Whether the resident entry under (identity, spec) was produced by
-  /// (or derived from) a delta patch — how the labeled layers inherit
-  /// patched-ness from the rows payload they alias.
-  bool EntryIsPatched(const void* identity, const std::string& spec) const;
+  /// The rows layer under GetPermutedRows and GetPermuted's index
+  /// build. `patched_out`, when given, reports whether the returned
+  /// rows are delta-patched (on hits too: an index built over them
+  /// counts as patched work).
+  StatusOr<std::shared_ptr<const Relation>> PermutedRows(
+      const std::shared_ptr<const Relation>& base,
+      const std::vector<int>& perm, IndexBuildStats* stats,
+      bool* patched_out);
 
   /// Takes (without consuming) the patch source for (base, perm), if a
   /// live record holds one.
@@ -362,13 +341,13 @@ class IndexCache {
   /// source survives while its trie is still unconsumed.
   void ConsumePatchSource(const void* identity, const std::vector<int>& perm,
                           uint64_t merged_rows);
-  /// Clears the source's trie (the trie layer has patched), dropping
+  /// Clears the source's trie (the index layer has patched), dropping
   /// the per-perm source — and the record once empty — when the rows
   /// side is already consumed.
   void ConsumeTriePatchSource(const void* identity,
                               const std::vector<int>& perm);
   /// Takes the predecessor of the artifact `spec` derived from the
-  /// bound index `pin`, if its relation's patch source recorded one.
+  /// index `pin`, if its relation's patch source recorded one.
   bool TakeDerivedPatch(const void* pin, const std::string& spec,
                         PatchBase* out);
   /// Drops the per-perm source `pit` of record `it` once every layer
@@ -378,11 +357,13 @@ class IndexCache {
       std::map<std::string, PatchSource>::iterator pit);
 
   /// GetOrBuild plus permuted-layer bookkeeping (meta tag, mmap flag
-  /// forwarded from adopted builds).
+  /// forwarded from adopted builds). `patched_out`, when given,
+  /// reports whether the returned entry is delta-patched.
   StatusOr<std::shared_ptr<const void>> GetOrBuildTagged(
       const void* identity, const std::string& spec,
       std::shared_ptr<const void> pin, const BuildFn& build,
-      IndexBuildStats* stats, std::shared_ptr<const PermutedMeta> meta);
+      IndexBuildStats* stats, std::shared_ptr<const PermutedMeta> meta,
+      bool* patched_out = nullptr);
 
   /// Installs a ready entry directly (snapshot adoption). No-op
   /// returning false if the key is already present. Caller holds mu_.

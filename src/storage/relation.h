@@ -20,8 +20,8 @@ namespace adj::storage {
 ///
 /// A relation can also *alias* an external row payload: AliasSpan views
 /// read-only memory kept alive by an opaque handle and costs no copy.
-/// The index cache aliases one canonical permuted relation under each
-/// attribute labeling that binds it, and persist views mmap'ed snapshot
+/// Hash-join binds alias the index cache's canonical permuted rows
+/// under their atom's attribute labels, and persist views mmap'ed snapshot
 /// segments with zero parsing. Mutation detaches (copy-on-write), so
 /// aliasing stays an implementation detail to callers.
 class Relation {

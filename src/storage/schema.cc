@@ -29,10 +29,14 @@ Schema Schema::SortedBy(const std::vector<int>& rank,
     ADJ_CHECK(attrs_[j] < static_cast<int>(rank.size()));
     return rank[attrs_[i]] < rank[attrs_[j]];
   });
-  std::vector<AttrId> sorted(attrs_.size());
-  for (size_t i = 0; i < perm.size(); ++i) sorted[i] = attrs_[perm[i]];
   if (out_perm != nullptr) *out_perm = perm;
-  return Schema(std::move(sorted));
+  return Permuted(perm);
+}
+
+Schema Schema::Permuted(const std::vector<int>& perm) const {
+  std::vector<AttrId> out(perm.size());
+  for (size_t i = 0; i < perm.size(); ++i) out[i] = attrs_[perm[i]];
+  return Schema(std::move(out));
 }
 
 std::string Schema::ToString() const {

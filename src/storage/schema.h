@@ -35,6 +35,9 @@ class Schema {
   /// out_perm[i] = index in *this* schema of the i-th sorted attribute.
   Schema SortedBy(const std::vector<int>& rank, std::vector<int>* out_perm) const;
 
+  /// This schema with column i taken from column perm[i].
+  Schema Permuted(const std::vector<int>& perm) const;
+
   std::string ToString() const;
 
   friend bool operator==(const Schema& a, const Schema& b) {

@@ -639,7 +639,7 @@ StatusOr<SharedPreparedRelation> PrepareRelationShared(
   std::vector<int> perm;
   storage::Schema sorted = bound.SortedBy(rank, &perm);
   StatusOr<std::shared_ptr<const storage::PreparedIndex>> index =
-      cache.GetPermuted(std::move(base), sorted, perm, stats);
+      cache.GetPermuted(std::move(base), perm, stats);
   if (!index.ok()) return index.status();
   SharedPreparedRelation out;
   out.index = std::move(index.value());
@@ -647,7 +647,7 @@ StatusOr<SharedPreparedRelation> PrepareRelationShared(
   return out;
 }
 
-StatusOr<SharedBoundRelation> PrepareRelationRowsShared(
+StatusOr<std::shared_ptr<const storage::Relation>> PrepareRelationRowsShared(
     std::shared_ptr<const storage::Relation> base,
     const std::vector<AttrId>& atom_attrs, const std::vector<int>& rank,
     storage::IndexCache& cache, storage::IndexBuildStats* stats) {
@@ -660,13 +660,11 @@ StatusOr<SharedBoundRelation> PrepareRelationRowsShared(
   storage::Schema bound(atom_attrs);
   std::vector<int> perm;
   storage::Schema sorted = bound.SortedBy(rank, &perm);
-  StatusOr<std::shared_ptr<const storage::Relation>> rel =
-      cache.GetPermutedRelation(std::move(base), sorted, perm, stats);
-  if (!rel.ok()) return rel.status();
-  SharedBoundRelation out;
-  out.rel = std::move(rel.value());
-  out.attrs = sorted.attrs();
-  return out;
+  StatusOr<std::shared_ptr<const storage::Relation>> rows =
+      cache.GetPermutedRows(std::move(base), perm, stats);
+  if (!rows.ok()) return rows.status();
+  return std::make_shared<const storage::Relation>(
+      storage::Relation::AliasSpan(sorted, (*rows)->raw(), *rows));
 }
 
 }  // namespace adj::wcoj

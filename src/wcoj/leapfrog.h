@@ -188,7 +188,8 @@ StatusOr<PreparedRelation> PrepareRelation(const storage::Relation& base,
 /// A bound atom whose index is borrowed from the shared cache: the
 /// PreparedIndex (permuted sorted relation + trie) is pointer-shared
 /// with every other consumer of the same (relation, column order) —
-/// nothing is rebuilt or deep-copied.
+/// nothing is rebuilt or deep-copied. The index carries no labels; the
+/// atom's own are `attrs`.
 struct SharedPreparedRelation {
   std::shared_ptr<const storage::PreparedIndex> index;
   std::vector<AttrId> attrs;  // attribute of each trie level
@@ -206,18 +207,12 @@ StatusOr<SharedPreparedRelation> PrepareRelationShared(
     const std::vector<AttrId>& atom_attrs, const std::vector<int>& rank,
     storage::IndexCache& cache, storage::IndexBuildStats* stats = nullptr);
 
-/// A bound atom resolved to its trie-less artifact: the permuted,
-/// sorted relation shared by pointer — what hash-join-only consumers
-/// bind, skipping the trie build entirely while still sharing the row
-/// payload with trie-backed binds of the same column order.
-struct SharedBoundRelation {
-  std::shared_ptr<const storage::Relation> rel;
-  std::vector<AttrId> attrs;  // attribute of each column
-};
-
-/// Trie-less PrepareRelationShared: same key resolution, but the
-/// artifact is the permuted sorted relation alone (no trie is built).
-StatusOr<SharedBoundRelation> PrepareRelationRowsShared(
+/// Trie-less PrepareRelationShared — what hash-join-only consumers
+/// bind: same key resolution, but the artifact is the permuted sorted
+/// rows alone (no trie is built), shared by pointer with trie-backed
+/// binds of the same column order and viewed under the atom's sorted
+/// schema, which is what hash joins match columns by.
+StatusOr<std::shared_ptr<const storage::Relation>> PrepareRelationRowsShared(
     std::shared_ptr<const storage::Relation> base,
     const std::vector<AttrId>& atom_attrs, const std::vector<int>& rank,
     storage::IndexCache& cache, storage::IndexBuildStats* stats = nullptr);

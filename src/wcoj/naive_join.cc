@@ -126,11 +126,8 @@ StatusOr<storage::Relation> NaiveJoin(const query::Query& q,
       return Status::InvalidArgument("atom arity mismatch for " +
                                      atom.relation);
     }
-    StatusOr<SharedBoundRelation> prepared = PrepareRelationRowsShared(
-        std::move(*base), atom.schema.attrs(), ascending_rank,
-        db.index_cache());
-    if (!prepared.ok()) return prepared.status();
-    return std::move(prepared->rel);
+    return PrepareRelationRowsShared(std::move(*base), atom.schema.attrs(),
+                                     ascending_rank, db.index_cache());
   };
 
   StatusOr<std::shared_ptr<const storage::Relation>> acc = bind(q.atom(0));

@@ -227,15 +227,11 @@ TEST(HCubeTest, FragmentsShipAtTheirStoredBytes) {
     std::shared_ptr<const storage::PreparedIndex> index;
     auto shuffle = [&](int servers, storage::IndexBuildStats* stats) {
       StatusOr<std::shared_ptr<const storage::PreparedIndex>> bound =
-          db.index_cache().GetPermuted(*db.GetShared("G"),
-                                       storage::Schema({0, 1}), {0, 1});
+          db.index_cache().GetPermuted(*db.GetShared("G"), {0, 1});
       EXPECT_TRUE(bound.ok()) << bound.status();
       if (!bound.ok()) return uint64_t{0};
       index = *bound;
-      HCubeInput in = HCubeInput::Plain(index->rel.get(), {0, 1});
-      in.pin = index;
-      in.shared_rel = index->rel;
-      in.trie = index->trie;
+      HCubeInput in = HCubeInput::Indexed(index, {0, 1});
       ClusterConfig cfg;
       cfg.num_servers = servers;
       Cluster cluster(cfg);
@@ -316,6 +312,24 @@ TEST(HCubeTest, RejectsZeroShare) {
   Cluster cluster(cfg);
   ShareVector share{{0}};
   EXPECT_FALSE(HCubeShuffle(inputs, share, HCubeVariant::kPull, &cluster).ok());
+}
+
+TEST(HCubeTest, RejectsRowsThatAreNotTheIndexs) {
+  // The 1-server alias ships the index itself, so an indexed input
+  // must name the index's own rows.
+  storage::Catalog db;
+  storage::Relation r(storage::Schema({0}));
+  r.Append({1});
+  ASSERT_TRUE(db.Apply(storage::WriteBatch().Create("R", r)).ok());
+  auto index = db.index_cache().GetPermuted(*db.GetShared("R"), {0});
+  ASSERT_TRUE(index.ok()) << index.status();
+  HCubeInput in = HCubeInput::Indexed(*index, {0});
+  in.rel = &r;
+  Cluster cluster(ClusterConfig{});
+  auto result = HCubeShuffle({in}, ShareVector{{1}}, HCubeVariant::kPull,
+                             &cluster, &db.index_cache());
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -41,11 +41,9 @@ TEST(IndexCacheTest, HitReturnsPointerIdenticalIndex) {
   ASSERT_TRUE(db.Apply(WriteBatch().Create("G", SmallGraph(1))).ok());
   std::shared_ptr<const Relation> base = *db.GetShared("G");
 
-  auto first = db.index_cache().GetPermuted(base, base->schema(),
-                                            IdentityPerm(*base));
+  auto first = db.index_cache().GetPermuted(base, IdentityPerm(*base));
   ASSERT_TRUE(first.ok()) << first.status();
-  auto second = db.index_cache().GetPermuted(base, base->schema(),
-                                             IdentityPerm(*base));
+  auto second = db.index_cache().GetPermuted(base, IdentityPerm(*base));
   ASSERT_TRUE(second.ok()) << second.status();
 
   // The artifact, its relation, and its trie are all the same objects.
@@ -55,12 +53,12 @@ TEST(IndexCacheTest, HitReturnsPointerIdenticalIndex) {
   EXPECT_TRUE((*first)->rel->IsSortedUnique());
   EXPECT_EQ((*first)->trie->NumTuples(), (*first)->rel->size());
 
-  // Layered entries: rows + trie + labeled bind on the first call (the
-  // trie layer re-resolves the rows layer, scoring the first hit); the
-  // second call hits the labeled bind directly.
+  // Two layers: the first call builds the rows and the index over
+  // them; the second hits the index.
   IndexCache::Stats stats = db.index_cache().stats();
-  EXPECT_EQ(stats.builds, 3u);
-  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.builds, 2u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.entries, 2u);
   EXPECT_GT(stats.resident_bytes, 0u);
 }
 
@@ -70,23 +68,34 @@ TEST(IndexCacheTest, LabelingsOfOnePermutationSharePayload) {
   std::shared_ptr<const Relation> base = *db.GetShared("G");
 
   // Two attribute labelings of the same physical permutation — the
-  // triangle query's G(a,b) / G(b,c) / G(a,c) pattern.
-  Schema ab({0, 1}), bc({1, 2});
-  auto first = db.index_cache().GetPermuted(base, ab, {0, 1});
-  ASSERT_TRUE(first.ok()) << first.status();
+  // triangle query's G(a,b) / G(b,c) pattern.
+  const std::vector<int> rank = wcoj::AscendingRank(3);
+  auto ab = wcoj::PrepareRelationShared(base, {0, 1}, rank, db.index_cache());
+  ASSERT_TRUE(ab.ok()) << ab.status();
   const uint64_t bytes_one_labeling = db.index_cache().resident_bytes();
-  auto second = db.index_cache().GetPermuted(base, bc, {0, 1});
-  ASSERT_TRUE(second.ok()) << second.status();
+  IndexBuildStats stats;
+  auto bc = wcoj::PrepareRelationShared(base, {1, 2}, rank, db.index_cache(),
+                                        &stats);
+  ASSERT_TRUE(bc.ok()) << bc.status();
 
-  // Distinct labeled artifacts, one physical payload: the trie pointer
-  // and the row buffer are shared, and the second labeling adds zero
-  // resident bytes.
-  EXPECT_NE(first->get(), second->get());
-  EXPECT_EQ((*first)->trie.get(), (*second)->trie.get());
-  EXPECT_EQ((*first)->rel->RowsIdentity(), (*second)->rel->RowsIdentity());
-  EXPECT_EQ((*first)->rel->schema().ToString(), ab.ToString());
-  EXPECT_EQ((*second)->rel->schema().ToString(), bc.ToString());
+  // One index, labeled by each atom: the second labeling is a hit on
+  // the same PreparedIndex and adds zero resident bytes.
+  EXPECT_EQ(ab->index.get(), bc->index.get());
+  EXPECT_EQ(ab->attrs, (std::vector<AttrId>{0, 1}));
+  EXPECT_EQ(bc->attrs, (std::vector<AttrId>{1, 2}));
+  EXPECT_EQ(stats.builds, 0u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(db.index_cache().size(), 2u);
   EXPECT_EQ(db.index_cache().resident_bytes(), bytes_one_labeling);
+
+  // Trie-less binds view those rows under their own labels, which is
+  // what hash joins match columns by.
+  auto rows_bc = wcoj::PrepareRelationRowsShared(base, {1, 2}, rank,
+                                                 db.index_cache());
+  ASSERT_TRUE(rows_bc.ok()) << rows_bc.status();
+  EXPECT_EQ((*rows_bc)->raw().data(), ab->rel().raw().data());
+  EXPECT_EQ((*rows_bc)->schema(), Schema({1, 2}));
+  EXPECT_EQ(db.index_cache().size(), 2u);
 }
 
 TEST(IndexCacheTest, TrieLessBindSharesRowsAndSkipsTrieBuild) {
@@ -94,22 +103,26 @@ TEST(IndexCacheTest, TrieLessBindSharesRowsAndSkipsTrieBuild) {
   ASSERT_TRUE(db.Apply(WriteBatch().Create("G", SmallGraph(16))).ok());
   std::shared_ptr<const Relation> base = *db.GetShared("G");
 
-  auto rel = db.index_cache().GetPermutedRelation(base, base->schema(),
-                                                  IdentityPerm(*base));
-  ASSERT_TRUE(rel.ok()) << rel.status();
-  EXPECT_TRUE((*rel)->IsSortedUnique());
-  // Only the rows layer and the trie-less alias exist — no trie was
-  // built for a hash-join-only bind.
-  EXPECT_EQ(db.index_cache().size(), 2u);
+  IndexBuildStats stats;
+  auto rows =
+      db.index_cache().GetPermutedRows(base, IdentityPerm(*base), &stats);
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  EXPECT_TRUE((*rows)->IsSortedUnique());
+  EXPECT_EQ(stats.builds, 1u);
+  // Only the rows layer exists — no trie was built for a
+  // hash-join-only bind.
+  EXPECT_EQ(db.index_cache().size(), 1u);
   const uint64_t rows_only_bytes = db.index_cache().resident_bytes();
 
-  auto idx = db.index_cache().GetPermuted(base, base->schema(),
-                                          IdentityPerm(*base));
+  auto idx = db.index_cache().GetPermuted(base, IdentityPerm(*base), &stats);
   ASSERT_TRUE(idx.ok()) << idx.status();
-  // The trie-backed bind reuses the same row payload and only then
-  // pays for the trie.
-  EXPECT_EQ((*rel)->RowsIdentity(), (*idx)->rel->RowsIdentity());
-  EXPECT_GT(db.index_cache().resident_bytes(), rows_only_bytes);
+  // The trie-backed bind holds the very same rows and only then pays
+  // for the trie.
+  EXPECT_EQ(rows->get(), (*idx)->rel.get());
+  EXPECT_EQ(stats.builds, 2u);
+  EXPECT_EQ(db.index_cache().size(), 2u);
+  EXPECT_EQ(db.index_cache().resident_bytes(),
+            rows_only_bytes + (*idx)->trie->ResidentBytes());
 }
 
 TEST(IndexCacheTest, DistinctColumnOrdersAreDistinctEntries) {
@@ -117,16 +130,38 @@ TEST(IndexCacheTest, DistinctColumnOrdersAreDistinctEntries) {
   ASSERT_TRUE(db.Apply(WriteBatch().Create("G", SmallGraph(2))).ok());
   std::shared_ptr<const Relation> base = *db.GetShared("G");
 
-  auto forward = db.index_cache().GetPermuted(base, base->schema(), {0, 1});
+  auto forward = db.index_cache().GetPermuted(base, {0, 1});
   ASSERT_TRUE(forward.ok());
-  // Reversed column order: same relation, different index.
-  std::vector<AttrId> attrs = base->schema().attrs();
-  Schema reversed({attrs[1], attrs[0]});
-  auto backward = db.index_cache().GetPermuted(base, reversed, {1, 0});
+  // Reversed column order: same relation, different index, whose rows
+  // take the base schema reversed alike.
+  auto backward = db.index_cache().GetPermuted(base, {1, 0});
   ASSERT_TRUE(backward.ok());
   EXPECT_NE(forward->get(), backward->get());
-  // Distinct permutations share nothing: two full layer stacks.
-  EXPECT_EQ(db.index_cache().stats().builds, 6u);
+  EXPECT_EQ((*forward)->rel->schema(), base->schema());
+  EXPECT_EQ((*backward)->rel->schema(), base->schema().Permuted({1, 0}));
+  // Distinct permutations share nothing: two layer stacks of two.
+  EXPECT_EQ(db.index_cache().stats().builds, 4u);
+  EXPECT_EQ(db.index_cache().size(), 4u);
+}
+
+TEST(IndexCacheTest, TriangleAtomsShareOneIndex) {
+  Catalog db;
+  ASSERT_TRUE(db.Apply(WriteBatch().Create("G", SmallGraph(17))).ok());
+  // Q1 under a<b<c binds G three times in one column order.
+  StatusOr<query::Query> q = query::Query::Parse("G(a,b) G(b,c) G(a,c)");
+  ASSERT_TRUE(q.ok()) << q.status();
+  IndexBuildStats stats;
+  StatusOr<std::vector<exec::BoundAtom>> bound =
+      exec::BindAtomsForOrder(*q, db, {0, 1, 2}, &stats);
+  ASSERT_TRUE(bound.ok()) << bound.status();
+  ASSERT_EQ(bound->size(), 3u);
+  EXPECT_EQ(stats.builds, 1u);
+  EXPECT_EQ(stats.hits, 2u);
+  for (const exec::BoundAtom& b : *bound) {
+    EXPECT_EQ(b.index.get(), bound->front().index.get());
+  }
+  EXPECT_EQ((*bound)[1].attrs, (std::vector<AttrId>{1, 2}));
+  EXPECT_EQ(db.index_cache().size(), 2u);
 }
 
 TEST(IndexCacheTest, ReplacementEvictsReplacedRelationsIndexes) {
@@ -136,22 +171,17 @@ TEST(IndexCacheTest, ReplacementEvictsReplacedRelationsIndexes) {
   {
     std::shared_ptr<const Relation> g = *db.GetShared("G");
     std::shared_ptr<const Relation> h = *db.GetShared("H");
-    ASSERT_TRUE(db.index_cache()
-                    .GetPermuted(g, g->schema(), IdentityPerm(*g))
-                    .ok());
-    ASSERT_TRUE(db.index_cache()
-                    .GetPermuted(h, h->schema(), IdentityPerm(*h))
-                    .ok());
+    ASSERT_TRUE(db.index_cache().GetPermuted(g, IdentityPerm(*g)).ok());
+    ASSERT_TRUE(db.index_cache().GetPermuted(h, IdentityPerm(*h)).ok());
   }
-  // Three layered entries (rows, trie, labeled bind) per relation.
-  ASSERT_EQ(db.index_cache().size(), 6u);
+  // Two entries (rows, index) per relation.
+  ASSERT_EQ(db.index_cache().size(), 4u);
 
   // Replacing G bumps G's version (only) and sweeps G's index; H's
   // entries survive pointer-identical.
   const Relation* h_before =
       db.index_cache()
-          .GetPermuted(*db.GetShared("H"), (*db.Get("H"))->schema(),
-                       IdentityPerm(**db.Get("H")))
+          .GetPermuted(*db.GetShared("H"), IdentityPerm(**db.Get("H")))
           .value()
           ->rel.get();
   const uint64_t g_version = db.VersionOf("G");
@@ -159,12 +189,11 @@ TEST(IndexCacheTest, ReplacementEvictsReplacedRelationsIndexes) {
   ASSERT_TRUE(db.Apply(WriteBatch().Create("G", SmallGraph(5))).ok());
   EXPECT_GT(db.VersionOf("G"), g_version);
   EXPECT_EQ(db.VersionOf("H"), h_version);
-  EXPECT_EQ(db.index_cache().size(), 3u);
+  EXPECT_EQ(db.index_cache().size(), 2u);
   EXPECT_GE(db.index_cache().stats().evictions, 1u);
   const Relation* h_after =
       db.index_cache()
-          .GetPermuted(*db.GetShared("H"), (*db.Get("H"))->schema(),
-                       IdentityPerm(**db.Get("H")))
+          .GetPermuted(*db.GetShared("H"), IdentityPerm(**db.Get("H")))
           .value()
           ->rel.get();
   EXPECT_EQ(h_before, h_after);
@@ -174,15 +203,14 @@ TEST(IndexCacheTest, HeldIndexesSurviveReplacementUntilReleased) {
   Catalog db;
   ASSERT_TRUE(db.Apply(WriteBatch().Create("G", SmallGraph(6))).ok());
   std::shared_ptr<const Relation> base = *db.GetShared("G");
-  auto held = db.index_cache().GetPermuted(base, base->schema(),
-                                           IdentityPerm(*base));
+  auto held = db.index_cache().GetPermuted(base, IdentityPerm(*base));
   ASSERT_TRUE(held.ok());
 
   // A consumer (here: `base` + `held`, standing in for a prepared
   // ExecutionContext aliasing the relation) still references the old
   // G, so the entry must not be swept out from under it...
   ASSERT_TRUE(db.Apply(WriteBatch().Create("G", SmallGraph(7))).ok());
-  EXPECT_EQ(db.index_cache().size(), 3u);
+  EXPECT_EQ(db.index_cache().size(), 2u);
 
   // ...but once the last consumer lets go, the next bump collects it.
   held = StatusOr<std::shared_ptr<const PreparedIndex>>(
@@ -272,7 +300,7 @@ TEST(IndexCacheTest, ByteBudgetEvictsUnreferencedLru) {
   std::shared_ptr<const Relation> b = *db.GetShared("B");
 
   auto idx_a =
-      db.index_cache().GetPermuted(a, a->schema(), IdentityPerm(*a));
+      db.index_cache().GetPermuted(a, IdentityPerm(*a));
   ASSERT_TRUE(idx_a.ok());
   const uint64_t one_entry = db.index_cache().resident_bytes();
   ASSERT_GT(one_entry, 0u);
@@ -283,14 +311,14 @@ TEST(IndexCacheTest, ByteBudgetEvictsUnreferencedLru) {
   // outside holder), keeping the cache within budget.
   db.index_cache().set_budget_bytes(one_entry + one_entry / 2);
   auto idx_b =
-      db.index_cache().GetPermuted(b, b->schema(), IdentityPerm(*b));
+      db.index_cache().GetPermuted(b, IdentityPerm(*b));
   ASSERT_TRUE(idx_b.ok());
   EXPECT_LE(db.index_cache().resident_bytes(),
             one_entry + one_entry / 2);
   // A's stack was (at least partially) evicted to make room; B's full
-  // stack (rows, trie, labeled bind) is resident and usable.
+  // stack (rows, index) is resident and usable.
   EXPECT_GE(db.index_cache().stats().evictions, 1u);
-  EXPECT_LT(db.index_cache().size(), 6u);
+  EXPECT_LT(db.index_cache().size(), 4u);
   EXPECT_TRUE((*idx_b)->rel->IsSortedUnique());
 }
 

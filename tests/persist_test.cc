@@ -20,6 +20,7 @@
 #include "query/query.h"
 #include "storage/catalog.h"
 #include "storage/trie.h"
+#include "wcoj/leapfrog.h"
 #include "wcoj/naive_join.h"
 
 namespace adj {
@@ -64,7 +65,7 @@ storage::Catalog MakeCatalog() {
 
 /// A warmed api::Database: builtin graph, one prepared triangle query
 /// executed once on a single server, so the index cache holds the
-/// permuted rows, tries, and labeled bindings Save() persists.
+/// permuted rows and tries Save() persists.
 api::Database MakeWarmDatabase(uint64_t* count) {
   api::Database db;
   EXPECT_TRUE(db.LoadBuiltin("AS", 0.15).ok());
@@ -185,6 +186,35 @@ TEST(SnapshotRoundTrip, WarmIndexesServeMmapLoaded) {
   EXPECT_EQ(r.count(), in_memory_count);
   EXPECT_EQ(r.index_builds(), 0u);
   EXPECT_GT(r.index_mmap_loaded(), 0u);
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotRoundTrip, UnboundLabelingOfSavedOrderIsMmapHit) {
+  // A snapshot stores indexes per (relation, column order), not per
+  // atom: after Open, a labeling Save never saw binds the saved index.
+  const std::string path = TempPath("labels.adjsnap");
+  storage::Catalog db = MakeCatalog();
+  const std::vector<int> rank = wcoj::AscendingRank(3);
+  ASSERT_TRUE(wcoj::PrepareRelationShared(*db.GetShared("E"), {0, 1}, rank,
+                                          db.index_cache())
+                  .ok());
+  ASSERT_TRUE(persist::SnapshotWriter::Write(db, path).ok());
+
+  StatusOr<persist::SnapshotReader> reader =
+      persist::SnapshotReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  storage::Catalog loaded;
+  ASSERT_TRUE(reader->LoadInto(&loaded).ok());
+  storage::IndexBuildStats stats;
+  StatusOr<wcoj::SharedPreparedRelation> bc = wcoj::PrepareRelationShared(
+      *loaded.GetShared("E"), {1, 2}, rank, loaded.index_cache(), &stats);
+  ASSERT_TRUE(bc.ok()) << bc.status();
+  EXPECT_EQ(stats.builds, 0u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.mmap_hits, 1u);
+  EXPECT_TRUE(bc->trie().mmap_backed());
+  EXPECT_EQ(bc->attrs, (std::vector<AttrId>{1, 2}));
+  EXPECT_EQ(loaded.index_cache().stats().builds, 0u);
   std::remove(path.c_str());
 }
 
@@ -362,11 +392,13 @@ TEST_F(SnapshotCorruptionTest, WrongMagic) {
 
 TEST_F(SnapshotCorruptionTest, WrongVersion) {
   // The reader accepts kVersion only: the retired v2 layout, the v3
-  // layout with verify-only mirror segments, and an unknown future
-  // version are all refused up front with InvalidArgument, by the
-  // reader and by Database::Open.
+  // layout with verify-only mirror segments, the v4 layout with
+  // per-labeling binding lists, and an unknown future version are all
+  // refused up front with InvalidArgument, by the reader and by
+  // Database::Open.
   ASSERT_EQ(bytes_[8], persist::kVersion);
-  for (uint8_t version : {uint8_t(2), uint8_t(3), uint8_t(0x7F)}) {
+  for (uint8_t version :
+       {uint8_t(2), uint8_t(3), uint8_t(4), uint8_t(0x7F)}) {
     std::vector<uint8_t> mutated = bytes_;
     mutated[8] = version;  // version field: little-endian u32 at offset 8
     WriteFile(path_, mutated);

@@ -329,12 +329,7 @@ dist::Cluster ShuffleIndex(
     const dist::ShareVector& share, dist::HCubeVariant variant,
     storage::IndexCache* cache, storage::IndexBuildStats* stats,
     dist::CommStats* comm) {
-  dist::HCubeInput in;
-  in.rel = index->rel.get();
-  in.attrs = {0, 1};
-  in.pin = index;
-  in.shared_rel = index->rel;
-  in.trie = index->trie;
+  dist::HCubeInput in = dist::HCubeInput::Indexed(index, {0, 1});
   dist::ClusterConfig config;
   config.num_servers = 4;
   dist::Cluster cluster(config);
@@ -372,8 +367,7 @@ TEST(ShardPatchTest, PatchedShardsEqualScratchBuildOnRandomDeltas) {
         std::set<Edge> mirror = ToEdges(**db.Get("G"));
         auto bind = [&] {
           StatusOr<std::shared_ptr<const storage::PreparedIndex>> index =
-              db.index_cache().GetPermuted(*db.GetShared("G"), EdgeSchema(),
-                                           perm);
+              db.index_cache().GetPermuted(*db.GetShared("G"), perm);
           EXPECT_TRUE(index.ok()) << index.status();
           return *index;
         };
@@ -417,7 +411,7 @@ TEST(ShardPatchTest, PatchedShardsEqualScratchBuildOnRandomDeltas) {
                           "G", FromEdges(mirror))).ok());
           StatusOr<std::shared_ptr<const storage::PreparedIndex>> scratch =
               scratch_db.index_cache().GetPermuted(
-                  *scratch_db.GetShared("G"), EdgeSchema(), perm);
+                  *scratch_db.GetShared("G"), perm);
           ASSERT_TRUE(scratch.ok()) << scratch.status();
           dist::CommStats scratch_comm;
           dist::Cluster built = ShuffleIndex(*scratch, share, variant,
